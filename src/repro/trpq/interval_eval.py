@@ -33,13 +33,14 @@ Interval relations come in two shapes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from ..tpg.model import SparkITPG
-from ..tpg.sparkutil import complement_intervals
+from ..tpg.sparkutil import complement_intervals, intersect_intervals
 from . import ast
 
 
@@ -100,6 +101,25 @@ def _as_temporal_atom(path: ast.Path) -> Optional[_TemporalAtom]:
     return None
 
 
+_SIMPLE_TESTS = (
+    ast.NodeTest, ast.EdgeTest, ast.LabelTest, ast.ExistsTest, ast.PropTest, ast.LtTest
+)
+
+
+def _simple_conjuncts(test: ast.Test) -> Optional[list[ast.Test]]:
+    """The flattened conjuncts of ``test`` when every one is simple (kind,
+    label, property, ``∃``, ``<k`` or ``¬<k``, the parser's ``time = k``
+    lowering), else None."""
+    if isinstance(test, ast.AndTest):
+        left, right = _simple_conjuncts(test.left), _simple_conjuncts(test.right)
+        return None if left is None or right is None else left + right
+    if isinstance(test, _SIMPLE_TESTS) or (
+        isinstance(test, ast.NotTest) and isinstance(test.inner, ast.LtTest)
+    ):
+        return [test]
+    return None
+
+
 def _contains_temporal(path: ast.Path) -> bool:
     if isinstance(path, ast.Axis):
         return path.op in ("N", "P")
@@ -125,66 +145,86 @@ class IntervalEvaluator:
     # -------------------------------------------------------- test tables
     def test_table(self, test: ast.Test) -> DataFrame:
         """Validity intervals ``(id, s, e)`` of a (path-condition-free)
-        test over PTO(G) — Step 1's select inputs."""
+        test over PTO(G) — Step 1's select inputs.
+
+        A test whose flattened conjuncts are all simple compiles into one
+        scan (:meth:`_scan`); anything else is built from its parts."""
         if test in self._tmemo:
             return self._tmemo[test]
-        g = self.g
-        lo, hi = g.omega
-        full = lambda df: df.select(  # noqa: E731
-            "id", F.lit(lo).cast("long").alias("s"), F.lit(hi).cast("long").alias("e")
-        )
-        if isinstance(test, ast.NodeTest):
-            out = full(g.objects.filter(F.col("kind") == "node"))
-        elif isinstance(test, ast.EdgeTest):
-            out = full(g.objects.filter(F.col("kind") == "edge"))
-        elif isinstance(test, ast.LabelTest):
-            out = full(g.objects.filter(F.col("label") == test.label))
-        elif isinstance(test, ast.ExistsTest):
-            out = g.exist.select("id", "s", "e")
-        elif isinstance(test, ast.PropTest):
-            out = g.props.filter(
-                (F.col("p") == test.prop) & (F.col("v") == test.value)
-            ).select("id", "s", "e")
-        elif isinstance(test, ast.LtTest):
-            if test.k - 1 < lo:
-                out = g.objects.select("id").limit(0).select(
-                    "id", F.lit(0).cast("long").alias("s"), F.lit(0).cast("long").alias("e")
-                )
-            else:
-                out = g.objects.select(
-                    "id",
-                    F.lit(lo).cast("long").alias("s"),
-                    F.lit(min(hi, test.k - 1)).cast("long").alias("e"),
-                )
-        elif isinstance(test, ast.AndTest):
-            a, b = self.test_table(test.left), self.test_table(test.right)
-            bb = b.select(
-                "id", F.col("s").alias("_bs"), F.col("e").alias("_be")
-            )
-            out = (
-                a.join(bb, "id")
-                .select(
-                    "id",
-                    F.greatest("s", "_bs").alias("s"),
-                    F.least("e", "_be").alias("e"),
-                )
-                .filter(F.col("s") <= F.col("e"))
-            )
-        elif isinstance(test, ast.OrTest):
-            out = self.test_table(test.left).unionByName(self.test_table(test.right))
-        elif isinstance(test, ast.NotTest):
-            out = complement_intervals(
-                self.test_table(test.inner), g.objects.select("id"), lo, hi
-            )
-        elif isinstance(test, ast.PathTest):
-            raise UnsupportedFragment(
-                "path conditions (?path) are outside the interval fragment"
-            )
-        else:
-            raise TypeError(f"unknown test {test!r}")
+        conjuncts = _simple_conjuncts(test)
+        out = self._scan(conjuncts) if conjuncts is not None else self._general(test)
         out = out.cache()
         self._tmemo[test] = out
         return out
+
+    def _scan(self, conjuncts: list[ast.Test]) -> DataFrame:
+        """One selection over the graph relations for a conjunction of
+        kind, label, property, ``∃`` and time tests (Sec VI Step 1).
+
+        The base is the existence relation when ``∃`` is a conjunct, else
+        the first property's valued intervals, else every object over Ω;
+        kind and label filter the objects (a semi-join unless the base is
+        the objects themselves), ``<k`` and ``¬<k`` clamp ``[s, e]``, and
+        every other property intersects the intervals."""
+        g = self.g
+        lo, hi = g.omega
+        conds = []
+        s_lo, e_hi, exists, props = lo, hi, False, []
+        for c in dict.fromkeys(conjuncts):
+            if isinstance(c, ast.NodeTest):
+                conds.append(F.col("kind") == "node")
+            elif isinstance(c, ast.EdgeTest):
+                conds.append(F.col("kind") == "edge")
+            elif isinstance(c, ast.LabelTest):
+                conds.append(F.col("label") == c.label)
+            elif isinstance(c, ast.ExistsTest):
+                exists = True
+            elif isinstance(c, ast.PropTest):
+                props.append(
+                    g.props.filter((F.col("p") == c.prop) & (F.col("v") == c.value))
+                    .select("id", "s", "e")
+                )
+            elif isinstance(c, ast.LtTest):
+                e_hi = min(e_hi, c.k - 1)
+            else:  # ¬<k
+                s_lo = max(s_lo, c.inner.k)
+        objs = g.objects.filter(reduce(lambda a, b: a & b, conds)) if conds else g.objects
+        if exists or props:
+            out = g.exist.select("id", "s", "e") if exists else props.pop(0)
+            if conds:
+                out = out.join(objs.select("id"), "id", "left_semi")
+        else:
+            out = objs.select(
+                "id", F.lit(lo).cast("long").alias("s"), F.lit(hi).cast("long").alias("e")
+            )
+        if s_lo > lo or e_hi < hi:
+            out = out.select(
+                "id",
+                F.greatest("s", F.lit(s_lo).cast("long")).alias("s"),
+                F.least("e", F.lit(e_hi).cast("long")).alias("e"),
+            ).filter(F.col("s") <= F.col("e"))
+        for pt in props:
+            out = intersect_intervals(out, pt, ["id"])
+        return out
+
+    def _general(self, test: ast.Test) -> DataFrame:
+        """Test table built from the tables of the test's parts."""
+        if isinstance(test, ast.AndTest):
+            return intersect_intervals(
+                self.test_table(test.left), self.test_table(test.right), ["id"]
+            )
+        if isinstance(test, ast.OrTest):
+            return self.test_table(test.left).unionByName(self.test_table(test.right))
+        if isinstance(test, ast.NotTest):
+            lo, hi = self.g.omega
+            return complement_intervals(
+                self.test_table(test.inner), self.g.objects.select("id"), lo, hi
+            )
+        if isinstance(test, ast.PathTest):
+            raise UnsupportedFragment(
+                "path conditions (?path) are outside the interval fragment"
+            )
+        raise TypeError(f"unknown test {test!r}")
 
     # ------------------------------------------------------------- links
     def eval_link(self, path: ast.Path) -> LinkRel:
@@ -254,20 +294,11 @@ class IntervalEvaluator:
         raise TypeError(f"unknown path {part!r}")
 
     def _apply_test(self, state: LinkRel, test: ast.Test) -> LinkRel:
-        tt = self.test_table(test).select(
-            F.col("id").alias("o2"),
-            F.col("s").alias("_ts"),
-            F.col("e").alias("_te"),
-        )
         s, e = ("s2", "e2") if state.offset else ("s", "e")
-        df = (
-            state.df.join(tt, "o2")
-            .withColumn(s, F.greatest(F.col(s), F.col("_ts")))
-            .withColumn(e, F.least(F.col(e), F.col("_te")))
-            .filter(F.col(s) <= F.col(e))
-            .drop("_ts", "_te")
+        tt = self.test_table(test).select(
+            F.col("id").alias("o2"), F.col("s").alias(s), F.col("e").alias(e)
         )
-        return LinkRel(df, state.offset)
+        return LinkRel(intersect_intervals(state.df, tt, ["o2"], s, e), state.offset)
 
     def _apply_move(self, state: LinkRel, op: str) -> LinkRel:
         """Structural step F/B: node→edge and edge→node joins; intervals

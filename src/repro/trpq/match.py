@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..tpg.sparkutil import coalesce_intervals
+from ..tpg.sparkutil import coalesce_intervals, intersect_intervals
 from . import ast
-from .interval_eval import IntervalEvaluator, LinkRel, UnsupportedFragment
+from .interval_eval import OFFSET_COLS, IntervalEvaluator, LinkRel, UnsupportedFragment
 from .parser import MatchQuery
 from .semantics import LocalTPG, eval_path
 from .spark_eval import PointEvaluator
@@ -32,10 +32,13 @@ from .spark_eval import PointEvaluator
 _RESERVED = {"o1", "o2", "s", "e", "s1", "e1", "s2", "e2", "dmin", "dmax", "_cur", "t", "t1", "t2"}
 
 
-def segment_asts(q: MatchQuery) -> list[ast.Path]:
+def segment_asts(q: MatchQuery, shared_once: bool = False) -> list[ast.Path]:
     """One NavL expression per link: ``test_i / link_i / test_{i+1}``.
 
-    A clause with a single pattern yields the bare pattern test.
+    A clause with a single pattern yields the bare pattern test. With
+    ``shared_once`` every segment but the last leaves out its trailing
+    test, which the next segment starts with, so a chain join that
+    intersects the shared position's intervals tests each pattern once.
     """
     pats, links = q.patterns, q.links
     for v in q.vars:
@@ -45,8 +48,11 @@ def segment_asts(q: MatchQuery) -> list[ast.Path]:
         raise ValueError("duplicate variable names are not supported")
     if not links:
         return [ast.seq(ast.TestExpr(pats[0].test()))]
+    last = len(links) - 1
     return [
-        ast.seq(ast.TestExpr(pats[i].test()), links[i], ast.TestExpr(pats[i + 1].test()))
+        ast.seq(ast.TestExpr(pats[i].test()), links[i])
+        if shared_once and i < last
+        else ast.seq(ast.TestExpr(pats[i].test()), links[i], ast.TestExpr(pats[i + 1].test()))
         for i in range(len(links))
     ]
 
@@ -259,8 +265,13 @@ class IntervalBindings:
 
 
 def eval_match_interval(ev: IntervalEvaluator, q: MatchQuery) -> IntervalBindings:
-    """Evaluate the chain on the interval backend (Steps 1–2 only)."""
-    segs = segment_asts(q)
+    """Evaluate the chain on the interval backend (Steps 1–2 only).
+
+    Each pattern is tested once: a link relation ends untested at the
+    shared position, and the chain join intersects its intervals there
+    with those of the next link, which starts from the pattern's test.
+    """
+    segs = segment_asts(q, shared_once=True)
     pats = q.patterns
     links = [ev.eval_link(s) for s in segs]
 
@@ -285,45 +296,22 @@ def eval_match_interval(ev: IntervalEvaluator, q: MatchQuery) -> IntervalBinding
             raise UnsupportedFragment(
                 "more than one temporal link in a MATCH chain"
             )
-        rel = lr.df
+        ends = [F.col("o1").alias("_cur"), F.col("o2").alias("_nxt")]
         if lr.offset:
-            rel = rel.select(
-                F.col("o1").alias("_cur"),
-                F.col("o2").alias("_nxt"),
-                F.col("s1").alias("_js"),
-                F.col("e1").alias("_je"),
-                "s2",
-                "e2",
-                "dmin",
-                "dmax",
-            )
-            # state is aligned here (offset∘offset was excluded above)
-            acc = (
-                acc.join(rel, on="_cur")
-                .withColumn("s1", F.greatest(F.col("s"), F.col("_js")))
-                .withColumn("e1", F.least(F.col("e"), F.col("_je")))
-                .filter(F.col("s1") <= F.col("e1"))
-                .drop("s", "e", "_js", "_je", "_cur")
-                .withColumnRenamed("_nxt", "_cur")
-            )
+            # the aligned chain's [s, e] meets the link's start interval
+            acc = acc.withColumnRenamed("s", "s1").withColumnRenamed("e", "e1")
+            rel = lr.df.select(*ends, *OFFSET_COLS[2:])
+            s, e = "s1", "e1"
             offset = True
             split_at = i + 1
         else:
-            rel = rel.select(
-                F.col("o1").alias("_cur"),
-                F.col("o2").alias("_nxt"),
-                F.col("s").alias("_js"),
-                F.col("e").alias("_je"),
-            )
             s, e = ("s2", "e2") if offset else ("s", "e")
-            acc = (
-                acc.join(rel, on="_cur")
-                .withColumn(s, F.greatest(F.col(s), F.col("_js")))
-                .withColumn(e, F.least(F.col(e), F.col("_je")))
-                .filter(F.col(s) <= F.col(e))
-                .drop("_js", "_je", "_cur")
-                .withColumnRenamed("_nxt", "_cur")
-            )
+            rel = lr.df.select(*ends, F.col("s").alias(s), F.col("e").alias(e))
+        acc = (
+            intersect_intervals(acc, rel, ["_cur"], s, e)
+            .drop("_cur")
+            .withColumnRenamed("_nxt", "_cur")
+        )
         acc = var_cols(acc, i + 1, "_cur")
     acc = acc.drop("_cur")
     named = [(j, p.var) for j, p in enumerate(pats) if p.var]

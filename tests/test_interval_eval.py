@@ -1,7 +1,12 @@
 """Interval evaluator (Section VI) vs the reference semantics, plus its
 fragment boundaries and the coalesced-output conventions of Table II."""
+import random
+
 import pytest
 
+from repro.tpg import interval as iv
+from repro.tpg.generator import g_lite
+from repro.tpg.model import SparkITPG
 from repro.trpq import ast
 from repro.trpq import queries as Q
 from repro.trpq.interval_eval import IntervalEvaluator, UnsupportedFragment
@@ -10,6 +15,8 @@ from repro.trpq.match import (
     eval_match_local,
     out_columns,
 )
+from repro.trpq.parser import _cond_test
+from repro.trpq.semantics import LocalTPG, holds
 from repro.trpq.semantics import eval_path as ref_eval
 from tests.conftest import ALL_QUERIES
 
@@ -150,3 +157,128 @@ class TestVariableSides:
     def test_intro_pre_and_post(self, fig1_interval_ev):
         ib = eval_match_interval(fig1_interval_ev, Q.query("INTRO"))
         assert ib.vars_pre == ["x"] and ib.vars_post == ["y"]
+
+
+# ------------------------------------------------- compiled conjunctions
+
+
+class PairwiseEvaluator(IntervalEvaluator):
+    """Builds every conjunction and negation from its parts' test tables,
+    the general path, as the reference for compiled conjunctions."""
+
+    def test_table(self, test):
+        if isinstance(test, (ast.AndTest, ast.NotTest)) and test not in self._tmemo:
+            self._tmemo[test] = self._general(test).cache()
+        return super().test_table(test)
+
+
+def time_eq(k):
+    """``{time = 'k'}`` as the parser lowers it: ``<k+1 ∧ ¬<k``."""
+    return _cond_test("time", "=", str(k))
+
+
+def random_conjunction(rng, data):
+    """A random simple conjunction, drawn mostly from one object's own kind,
+    label, property values and lifespan so that it is rarely empty."""
+    lo, hi = data.omega
+    o = rng.choice(list(data.objects.itertuples()))
+    own_props = [(r.p, r.v) for r in data.props.itertuples() if r.id == o.id]
+    lifespan = [(r.s, r.e) for r in data.exist.itertuples() if r.id == o.id]
+    parts = []
+    if rng.random() < 0.5:
+        parts.append(ast.NODE if o.kind == "node" else ast.EDGE)
+    if rng.random() < 0.6:
+        parts.append(ast.LabelTest(o.label))
+    for pv in rng.sample(own_props, min(len(own_props), rng.randint(0, 2))):
+        parts.append(ast.PropTest(*pv))
+    if rng.random() < 0.5:
+        parts.append(ast.EXISTS)
+    r = rng.random()
+    if r < 0.4:
+        parts.append(ast.LtTest(rng.randint(lo - 1, hi + 2)))
+    elif r < 0.7:
+        s, e = rng.choice(lifespan)
+        parts.append(time_eq(rng.randint(s, e)))
+    parts = parts or [ast.EXISTS, ast.NODE]
+    rng.shuffle(parts)
+    return ast.conj(*parts)
+
+
+def fams(df):
+    """Coalesced interval family per id."""
+    out = {}
+    for r in df.collect():
+        out.setdefault(r["id"], []).append((r["s"], r["e"]))
+    return {k: iv.coalesce(v) for k, v in out.items()}
+
+
+def ref_fams(local, test):
+    """Coalesced interval family per id from the reference semantics."""
+    out = {}
+    for o, t in local.pto():
+        if holds(local, test, o, t):
+            out.setdefault(o, []).append((t, t))
+    return {k: iv.coalesce(v) for k, v in out.items()}
+
+
+FIXED_CONJUNCTIONS = [
+    ast.conj(ast.NODE, ast.LtTest(1), ast.EXISTS),  # time < k with k - 1 < lo
+    ast.conj(ast.LtTest(0), ast.LabelTest("Person")),
+    ast.conj(ast.NODE, ast.LabelTest("Room"), ast.EXISTS),  # no properties
+    ast.conj(ast.LabelTest("Room"), ast.PropTest("risk", "low")),
+    ast.conj(ast.NODE, ast.EDGE, ast.EXISTS),
+    ast.conj(ast.PropTest("risk", "low"), ast.PropTest("test", "neg"), time_eq(3)),
+    ast.conj(ast.EXISTS, ast.LtTest(12), ast.NotTest(ast.LtTest(0))),
+]
+
+
+@pytest.fixture(scope="module")
+def rung():
+    return g_lite("G1", seed=0)
+
+
+@pytest.fixture(scope="module")
+def rung_itpg(spark, rung):
+    return SparkITPG.from_data(spark, rung)
+
+
+@pytest.mark.parametrize("data_fx, itpg_fx", [("fig1_data", "fig1_itpg"), ("rung", "rung_itpg")])
+def test_compiled_conjunctions_match_general_path(data_fx, itpg_fx, request):
+    data, itpg = request.getfixturevalue(data_fx), request.getfixturevalue(itpg_fx)
+    local = LocalTPG.from_data(data)
+    compiled, general = IntervalEvaluator(itpg), PairwiseEvaluator(itpg)
+    rng = random.Random(5)
+    tests = FIXED_CONJUNCTIONS + [random_conjunction(rng, data) for _ in range(12)]
+    for test in tests:
+        got = fams(compiled.test_table(test))
+        assert got == fams(general.test_table(test)), test
+        assert got == ref_fams(local, test), test
+
+
+class TestGeneralPathConjunctions:
+    """Conjunctions with an ``∨``, a ``¬`` other than ``¬<k``, or ``?path``
+    are built from their parts; simple ones are one table."""
+
+    @pytest.mark.parametrize(
+        "test",
+        [
+            ast.conj(ast.NODE, ast.OrTest(ast.LabelTest("Room"), ast.PropTest("risk", "high")), ast.EXISTS),
+            ast.conj(ast.LabelTest("Person"), ast.NotTest(ast.PropTest("test", "neg"))),
+        ],
+    )
+    def test_or_not_take_general_path(self, test, fig1_itpg, fig1_local):
+        ev = IntervalEvaluator(fig1_itpg)
+        got = fams(ev.test_table(test))
+        assert test.left in ev._tmemo and test.right in ev._tmemo
+        assert got == ref_fams(fig1_local, test)
+
+    def test_simple_conjunction_is_one_table(self, fig1_itpg):
+        ev = IntervalEvaluator(fig1_itpg)
+        test = ast.conj(ast.NODE, ast.LabelTest("Person"), time_eq(3), ast.EXISTS)
+        ev.test_table(test)
+        assert list(ev._tmemo) == [test]
+
+    def test_path_condition_in_conjunction_unsupported(self, fig1_itpg):
+        ev = IntervalEvaluator(fig1_itpg)
+        with pytest.raises(UnsupportedFragment):
+            ev.test_table(ast.conj(ast.NODE, ast.PathTest(ast.F), ast.EXISTS))

@@ -30,6 +30,16 @@ class TestSegmentation:
     def test_q7_segments(self):
         assert len(segment_asts(Q.query("Q7"))) == 3
 
+    def test_shared_once_leaves_out_trailing_tests(self):
+        """Each pattern of the chain is tested once: every segment but the
+        last ends where the next one's leading test takes over."""
+        q = Q.query("Q7")
+        full, once = segment_asts(q), segment_asts(q, shared_once=True)
+        assert len(once) == len(full) == 3
+        assert once[-1] == full[-1]
+        for f, o in zip(full[:-1], once[:-1]):
+            assert o.parts == f.parts[:-1]
+
     def test_reserved_var_rejected(self):
         with pytest.raises(ValueError, match="reserved"):
             segment_asts(parse_match("MATCH (s:Person) ON g"))
