@@ -1,5 +1,7 @@
 """Run any named query (Q1–Q12, INTRO, Q7R) or an ad-hoc MATCH clause on a
-G-lite graph or the Figure 1 example, printing the binding table.
+G-lite graph or the Figure 1 example, printing the number of result rows,
+the Spark jobs that evaluating and counting the query launched (loading
+the graph not included), and the binding table.
 
 Usage::
 
@@ -34,13 +36,17 @@ def main() -> None:
     data = figure1() if args.graph == "fig1" else g_lite(args.graph)
     spark = get_spark("run_query")
     itpg = SparkITPG.from_data(spark, data)
+    tpg = itpg.to_tpg() if args.backend == "point" else None
+    scheduler = spark.sparkContext._jsc.sc().dagScheduler()
+    jobs0 = scheduler.numTotalJobs()
     if args.backend == "interval":
         out = eval_match_interval(IntervalEvaluator(itpg), q).points()
     else:
-        out = eval_match_point(PointEvaluator(itpg.to_tpg()), q)
-    out = out.select(*out_columns(q)).orderBy(*out_columns(q))
+        out = eval_match_point(PointEvaluator(tpg), q)
+    out = out.select(*out_columns(q))
     print(f"rows: {out.count()}")
-    out.show(args.limit, truncate=False)
+    print(f"jobs: {scheduler.numTotalJobs() - jobs0}")
+    out.orderBy(*out_columns(q)).show(args.limit, truncate=False)
     spark.stop()
 
 

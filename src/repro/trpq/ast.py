@@ -112,6 +112,24 @@ def conj(*tests: Test) -> Test:
     return out
 
 
+SIMPLE_TESTS = (NodeTest, EdgeTest, LabelTest, ExistsTest, PropTest, LtTest)
+
+
+def simple_conjuncts(test: Test) -> Optional[list[Test]]:
+    """The flattened conjuncts of ``test`` when every one is simple (kind,
+    label, property, ``∃``, ``<k`` or ``¬<k``, the parser's ``time = k``
+    lowering), else None. Both Spark evaluators compile such a conjunction
+    into one scan of the graph relations."""
+    if isinstance(test, AndTest):
+        left, right = simple_conjuncts(test.left), simple_conjuncts(test.right)
+        return None if left is None or right is None else left + right
+    if isinstance(test, SIMPLE_TESTS) or (
+        isinstance(test, NotTest) and isinstance(test.inner, LtTest)
+    ):
+        return [test]
+    return None
+
+
 # --------------------------------------------------------------------- paths
 
 

@@ -101,25 +101,6 @@ def _as_temporal_atom(path: ast.Path) -> Optional[_TemporalAtom]:
     return None
 
 
-_SIMPLE_TESTS = (
-    ast.NodeTest, ast.EdgeTest, ast.LabelTest, ast.ExistsTest, ast.PropTest, ast.LtTest
-)
-
-
-def _simple_conjuncts(test: ast.Test) -> Optional[list[ast.Test]]:
-    """The flattened conjuncts of ``test`` when every one is simple (kind,
-    label, property, ``∃``, ``<k`` or ``¬<k``, the parser's ``time = k``
-    lowering), else None."""
-    if isinstance(test, ast.AndTest):
-        left, right = _simple_conjuncts(test.left), _simple_conjuncts(test.right)
-        return None if left is None or right is None else left + right
-    if isinstance(test, _SIMPLE_TESTS) or (
-        isinstance(test, ast.NotTest) and isinstance(test.inner, ast.LtTest)
-    ):
-        return [test]
-    return None
-
-
 def _contains_temporal(path: ast.Path) -> bool:
     if isinstance(path, ast.Axis):
         return path.op in ("N", "P")
@@ -151,7 +132,7 @@ class IntervalEvaluator:
         scan (:meth:`_scan`); anything else is built from its parts."""
         if test in self._tmemo:
             return self._tmemo[test]
-        conjuncts = _simple_conjuncts(test)
+        conjuncts = ast.simple_conjuncts(test)
         out = self._scan(conjuncts) if conjuncts is not None else self._general(test)
         out = out.cache()
         self._tmemo[test] = out

@@ -8,8 +8,18 @@ Here each relation is a DataFrame with schema ``(o1, t1, o2, t2)`` and the
 joins are Catalyst joins; ``path[n,m]`` uses the same squaring recursion
 (exact ``n``-fold power, then the paper's ``ComputeIntervalRepetition``
 doubling for the ``[0, m-n]`` tail), and ``path[n,_]`` iterates doubling to
-a fixpoint. Each materialised level is ``localCheckpoint``-ed to keep
-lineage flat across the iteration, as iterative dataflow on Spark requires.
+a fixpoint.
+
+Theorem C.1's polynomial bound is about the sizes of these relations, not
+about where they are materialised. So every subexpression's relation is a
+lazy DataFrame, memoised per evaluator, and only the levels of the
+repetition recursions (the identity, ``_power``, ``_upto`` and ``_star``),
+where lineage grows with every round, are ``localCheckpoint``-ed, as
+iterative dataflow on Spark requires. A conjunction of simple tests
+compiles into one scan of the graph relations (:meth:`PointEvaluator._scan`),
+and a test inside a concatenation is a semi-join on the end it constrains,
+not a composition. Nothing is ``cache()``-d: a fresh evaluator recomputes
+every relation and launches the same Spark jobs as the one before it.
 
 This evaluator supports the *full* language (path conditions, negation,
 nested occurrence indicators) and is the general-purpose engine; the
@@ -18,7 +28,9 @@ fragment.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from functools import reduce
+
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from ..tpg.model import SparkTPG
@@ -36,6 +48,20 @@ def _ckpt(df: DataFrame) -> DataFrame:
     return df.localCheckpoint(eager=True)
 
 
+def _all(conds: list[Column]) -> Column:
+    return reduce(lambda a, b: a & b, conds)
+
+
+def _diagonal(pairs: DataFrame) -> DataFrame:
+    """The relation ``{((o, t), (o, t))}`` over temporal objects ``(id, t)``."""
+    return pairs.select(
+        F.col("id").alias("o1"),
+        F.col("t").alias("t1"),
+        F.col("id").alias("o2"),
+        F.col("t").alias("t2"),
+    )
+
+
 class PointEvaluator:
     """Evaluates NavL[PC,NOI] expressions over a point-stamped TPG."""
 
@@ -49,15 +75,7 @@ class PointEvaluator:
     def identity(self) -> DataFrame:
         """The diagonal of PTO(G): path^0."""
         if self._identity is None:
-            pto = self.g.pto()
-            self._identity = _ckpt(
-                pto.select(
-                    F.col("id").alias("o1"),
-                    F.col("t").alias("t1"),
-                    F.col("id").alias("o2"),
-                    F.col("t").alias("t2"),
-                )
-            )
+            self._identity = _ckpt(_diagonal(self.g.pto()))
         return self._identity
 
     @staticmethod
@@ -76,55 +94,95 @@ class PointEvaluator:
             .distinct()
         )
 
+    def _restrict(self, rel: DataFrame, test: ast.Test, o: str, t: str) -> DataFrame:
+        """The rows of ``rel`` whose ``(o, t)`` end satisfies ``test``."""
+        pairs = self.test_pairs(test).select(F.col("id").alias(o), F.col("t").alias(t))
+        return rel.join(pairs, on=[o, t], how="left_semi").select(*REL_COLS)
+
     # ---------------------------------------------------------------- tests
     def test_pairs(self, test: ast.Test) -> DataFrame:
-        """Temporal objects ``(id, t)`` in PTO(G) satisfying ``test``."""
+        """Temporal objects ``(id, t)`` in PTO(G) satisfying ``test``.
+
+        A test whose flattened conjuncts are all simple compiles into one
+        scan (:meth:`_scan`); anything else is built from its parts."""
         if test in self._test_memo:
             return self._test_memo[test]
+        conjuncts = ast.simple_conjuncts(test)
+        out = self._scan(conjuncts) if conjuncts is not None else self._general(test)
+        self._test_memo[test] = out
+        return out
+
+    def _scan(self, conjuncts: list[ast.Test]) -> DataFrame:
+        """One selection over the graph relations for a conjunction of
+        kind, label, property, ``∃`` and time tests.
+
+        The base is the existence relation when ``∃`` is a conjunct, else
+        the first property's points, else every object over Ω; kind and
+        label filter the objects (a semi-join unless the base is the
+        objects themselves), ``<k`` and ``¬<k`` filter ``t``, and every
+        other property is a semi-join on ``(id, t)``."""
         g = self.g
-        dom = g.domain_df()
-        if isinstance(test, ast.NodeTest):
-            out = g.objects.filter(F.col("kind") == "node").select("id").crossJoin(dom)
-        elif isinstance(test, ast.EdgeTest):
-            out = g.objects.filter(F.col("kind") == "edge").select("id").crossJoin(dom)
-        elif isinstance(test, ast.LabelTest):
-            out = g.objects.filter(F.col("label") == test.label).select("id").crossJoin(dom)
-        elif isinstance(test, ast.PropTest):
-            out = g.props.filter(
-                (F.col("p") == test.prop) & (F.col("v") == test.value)
-            ).select("id", "t")
-        elif isinstance(test, ast.ExistsTest):
-            out = g.exist.select("id", "t")
-        elif isinstance(test, ast.LtTest):
-            out = g.objects.select("id").crossJoin(dom.filter(F.col("t") < test.k))
-        elif isinstance(test, ast.PathTest):
-            out = self.rel(test.path).select(
-                F.col("o1").alias("id"), F.col("t1").alias("t")
-            ).distinct()
-        elif isinstance(test, ast.AndTest):
-            out = self.test_pairs(test.left).join(
-                self.test_pairs(test.right), on=["id", "t"]
+        conds, t_conds, exists, props = [], [], False, []
+        for c in dict.fromkeys(conjuncts):
+            if isinstance(c, ast.NodeTest):
+                conds.append(F.col("kind") == "node")
+            elif isinstance(c, ast.EdgeTest):
+                conds.append(F.col("kind") == "edge")
+            elif isinstance(c, ast.LabelTest):
+                conds.append(F.col("label") == c.label)
+            elif isinstance(c, ast.ExistsTest):
+                exists = True
+            elif isinstance(c, ast.PropTest):
+                props.append(
+                    g.props.filter((F.col("p") == c.prop) & (F.col("v") == c.value))
+                    .select("id", "t")
+                )
+            elif isinstance(c, ast.LtTest):
+                t_conds.append(F.col("t") < c.k)
+            else:  # ¬<k
+                t_conds.append(F.col("t") >= c.inner.k)
+        objs = g.objects.filter(_all(conds)) if conds else g.objects
+        if exists or props:
+            out = g.exist.select("id", "t") if exists else props.pop(0)
+            if conds:
+                out = out.join(objs.select("id"), "id", "left_semi")
+            if t_conds:
+                out = out.filter(_all(t_conds))
+        else:
+            dom = g.domain_df()
+            out = objs.select("id").crossJoin(dom.filter(_all(t_conds)) if t_conds else dom)
+        for pt in props:
+            out = out.join(pt, on=["id", "t"], how="left_semi")
+        return out
+
+    def _general(self, test: ast.Test) -> DataFrame:
+        """Test relation built from the relations of the test's parts."""
+        if isinstance(test, ast.AndTest):
+            return self.test_pairs(test.left).join(
+                self.test_pairs(test.right), on=["id", "t"], how="left_semi"
             )
-        elif isinstance(test, ast.OrTest):
-            out = (
+        if isinstance(test, ast.OrTest):
+            return (
                 self.test_pairs(test.left)
                 .unionByName(self.test_pairs(test.right))
                 .distinct()
             )
-        elif isinstance(test, ast.NotTest):
-            out = g.pto().join(self.test_pairs(test.inner), on=["id", "t"], how="left_anti")
-        else:
-            raise TypeError(f"unknown test {test!r}")
-        out = _ckpt(out.select("id", "t").distinct())
-        self._test_memo[test] = out
-        return out
+        if isinstance(test, ast.NotTest):
+            return self.g.pto().join(
+                self.test_pairs(test.inner), on=["id", "t"], how="left_anti"
+            )
+        if isinstance(test, ast.PathTest):
+            return self.rel(test.path).select(
+                F.col("o1").alias("id"), F.col("t1").alias("t")
+            ).distinct()
+        raise TypeError(f"unknown test {test!r}")
 
     # ---------------------------------------------------------------- paths
     def rel(self, path: ast.Path) -> DataFrame:
         """⟦path⟧_G as a DataFrame ``(o1, t1, o2, t2)``."""
         if path in self._memo:
             return self._memo[path]
-        out = _ckpt(self._rel(path))
+        out = self._rel(path)
         self._memo[path] = out
         return out
 
@@ -132,13 +190,7 @@ class PointEvaluator:
         g = self.g
         lo, hi = g.omega
         if isinstance(path, ast.TestExpr):
-            s = self.test_pairs(path.test)
-            return s.select(
-                F.col("id").alias("o1"),
-                F.col("t").alias("t1"),
-                F.col("id").alias("o2"),
-                F.col("t").alias("t2"),
-            )
+            return _diagonal(self.test_pairs(path.test))
         if isinstance(path, ast.Axis):
             dom = g.domain_df()
             edges = g.objects.filter(F.col("kind") == "edge")
@@ -163,10 +215,7 @@ class PointEvaluator:
                 (F.col("t") + step).alias("t2"),
             ).filter((F.col("t2") >= lo) & (F.col("t2") <= hi))
         if isinstance(path, ast.Seq):
-            rel = self.rel(path.parts[0])
-            for p in path.parts[1:]:
-                rel = _ckpt(self.compose(rel, self.rel(p)))
-            return rel
+            return self._seq(path.parts)
         if isinstance(path, ast.Union):
             rel = self.rel(path.parts[0])
             for p in path.parts[1:]:
@@ -181,6 +230,29 @@ class PointEvaluator:
                 return self.compose(exact, self._upto(base, path.hi - path.lo))
             return self.compose(exact, self._star(base))
         raise TypeError(f"unknown path {path!r}")
+
+    def _seq(self, parts: tuple[ast.Path, ...]) -> DataFrame:
+        """Concatenation: compose the non-test parts in order; a test
+        before the first of them restricts its ``(o1, t1)`` end, any
+        later test the ``(o2, t2)`` end of the composition so far."""
+        rel, lead = None, []
+        for p in parts:
+            if isinstance(p, ast.TestExpr):
+                if rel is None:
+                    lead.append(p.test)
+                else:
+                    rel = self._restrict(rel, p.test, "o2", "t2")
+            elif rel is None:
+                rel = self.rel(p)
+                for test in lead:
+                    rel = self._restrict(rel, test, "o1", "t1")
+            else:
+                rel = self.compose(rel, self.rel(p))
+        if rel is None:  # tests only
+            rel = self.rel(ast.TestExpr(lead[0]))
+            for test in lead[1:]:
+                rel = self._restrict(rel, test, "o1", "t1")
+        return rel
 
     # -------------------------------------------- repetition (Algorithms 1/2)
     def _power(self, base: DataFrame, n: int) -> DataFrame:

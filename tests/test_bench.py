@@ -1,4 +1,5 @@
 """Harness + jobs smoke tests: Tables I/II runners produce sane rows."""
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,3 +94,14 @@ class TestJobsCli:
         )
         assert proc.returncode == 0
         assert "fig1" in proc.stdout
+
+    def test_run_query_prints_rows_and_jobs(self):
+        proc = subprocess.run(
+            [sys.executable, str(JOBS / "run_query.py"), "Q6", "--graph", "fig1", "--backend", "point"],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert re.search(r"^rows: 1$", proc.stdout, re.M), proc.stdout
+        assert re.search(r"^jobs: [1-9][0-9]*$", proc.stdout, re.M), proc.stdout

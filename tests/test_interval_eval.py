@@ -5,8 +5,6 @@ import random
 import pytest
 
 from repro.tpg import interval as iv
-from repro.tpg.generator import g_lite
-from repro.tpg.model import SparkITPG
 from repro.trpq import ast
 from repro.trpq import queries as Q
 from repro.trpq.interval_eval import IntervalEvaluator, UnsupportedFragment
@@ -15,10 +13,9 @@ from repro.trpq.match import (
     eval_match_local,
     out_columns,
 )
-from repro.trpq.parser import _cond_test
 from repro.trpq.semantics import LocalTPG, holds
 from repro.trpq.semantics import eval_path as ref_eval
-from tests.conftest import ALL_QUERIES
+from tests.conftest import ALL_QUERIES, FIXED_CONJUNCTIONS, random_conjunction, time_eq
 
 
 @pytest.mark.parametrize("name", ALL_QUERIES)
@@ -172,38 +169,6 @@ class PairwiseEvaluator(IntervalEvaluator):
         return super().test_table(test)
 
 
-def time_eq(k):
-    """``{time = 'k'}`` as the parser lowers it: ``<k+1 ∧ ¬<k``."""
-    return _cond_test("time", "=", str(k))
-
-
-def random_conjunction(rng, data):
-    """A random simple conjunction, drawn mostly from one object's own kind,
-    label, property values and lifespan so that it is rarely empty."""
-    lo, hi = data.omega
-    o = rng.choice(list(data.objects.itertuples()))
-    own_props = [(r.p, r.v) for r in data.props.itertuples() if r.id == o.id]
-    lifespan = [(r.s, r.e) for r in data.exist.itertuples() if r.id == o.id]
-    parts = []
-    if rng.random() < 0.5:
-        parts.append(ast.NODE if o.kind == "node" else ast.EDGE)
-    if rng.random() < 0.6:
-        parts.append(ast.LabelTest(o.label))
-    for pv in rng.sample(own_props, min(len(own_props), rng.randint(0, 2))):
-        parts.append(ast.PropTest(*pv))
-    if rng.random() < 0.5:
-        parts.append(ast.EXISTS)
-    r = rng.random()
-    if r < 0.4:
-        parts.append(ast.LtTest(rng.randint(lo - 1, hi + 2)))
-    elif r < 0.7:
-        s, e = rng.choice(lifespan)
-        parts.append(time_eq(rng.randint(s, e)))
-    parts = parts or [ast.EXISTS, ast.NODE]
-    rng.shuffle(parts)
-    return ast.conj(*parts)
-
-
 def fams(df):
     """Coalesced interval family per id."""
     out = {}
@@ -219,27 +184,6 @@ def ref_fams(local, test):
         if holds(local, test, o, t):
             out.setdefault(o, []).append((t, t))
     return {k: iv.coalesce(v) for k, v in out.items()}
-
-
-FIXED_CONJUNCTIONS = [
-    ast.conj(ast.NODE, ast.LtTest(1), ast.EXISTS),  # time < k with k - 1 < lo
-    ast.conj(ast.LtTest(0), ast.LabelTest("Person")),
-    ast.conj(ast.NODE, ast.LabelTest("Room"), ast.EXISTS),  # no properties
-    ast.conj(ast.LabelTest("Room"), ast.PropTest("risk", "low")),
-    ast.conj(ast.NODE, ast.EDGE, ast.EXISTS),
-    ast.conj(ast.PropTest("risk", "low"), ast.PropTest("test", "neg"), time_eq(3)),
-    ast.conj(ast.EXISTS, ast.LtTest(12), ast.NotTest(ast.LtTest(0))),
-]
-
-
-@pytest.fixture(scope="module")
-def rung():
-    return g_lite("G1", seed=0)
-
-
-@pytest.fixture(scope="module")
-def rung_itpg(spark, rung):
-    return SparkITPG.from_data(spark, rung)
 
 
 @pytest.mark.parametrize("data_fx, itpg_fx", [("fig1_data", "fig1_itpg"), ("rung", "rung_itpg")])

@@ -1,7 +1,8 @@
-"""Plan-shape gate for the interval backend: Spark jobs and executed-plan
-joins/exchanges of every Table II query, each bounded by the figure the
-current evaluator reaches. A plan change that adds a job, a join or an
-exchange fails here; one that removes some should lower the bound.
+"""Plan-shape gate: Spark jobs and executed-plan joins/exchanges of every
+Table II query on the interval backend, and Spark jobs of Q2, Q6 and Q7 on
+the point backend, each bounded by the figure the current evaluator
+reaches. A plan change that adds a job, a join or an exchange fails here;
+one that removes some should lower the bound.
 
 Every query runs from a cleared cache and a fresh load, as a benchmark
 pass does: Spark's cache manager would otherwise serve test tables cached
@@ -18,7 +19,8 @@ from repro.tpg.generator import contact_tracing
 from repro.tpg.model import SparkITPG
 from repro.trpq import queries as Q
 from repro.trpq.interval_eval import IntervalEvaluator
-from repro.trpq.match import eval_match_interval
+from repro.trpq.match import eval_match_interval, eval_match_point
+from repro.trpq.spark_eval import PointEvaluator
 
 # (Spark jobs, executed-plan joins, executed-plan exchanges) per query, as
 # measured with the test session's configuration (8 shuffle partitions,
@@ -37,6 +39,11 @@ BOUNDS = {
     "Q11": (39, 22, 36),
     "Q12": (48, 29, 48),
 }
+
+# Spark jobs per query on the point backend (Theorem C.1 evaluator), same
+# configuration; the point evaluator's relations are lazy except where the
+# repetition recursions checkpoint them.
+POINT_BOUNDS = {"Q2": 6, "Q6": 12, "Q7": 48}
 
 
 @pytest.fixture(scope="module")
@@ -70,23 +77,17 @@ def plan_ops(df) -> tuple[int, int]:
     return joins, exchanges
 
 
-def run_query(spark, data, name: str) -> tuple[int, int, int, int]:
-    """One Table II query from a cleared cache: (output size, jobs,
-    joins, exchanges)."""
+def counted_jobs(spark, label: str, action) -> tuple[object, int]:
+    """Run ``action()`` under a fresh job group: (its result, the Spark jobs
+    it launched), counted by the status tracker and checked against the
+    scheduler's count."""
     sc = spark.sparkContext
-    spark.catalog.clearCache()
-    ev = IntervalEvaluator(SparkITPG.from_data(spark, data))
     scheduler = sc._jsc.sc().dagScheduler()
-    group = f"plan-shape-{name}-{uuid.uuid4().hex}"
+    group = f"plan-shape-{label}-{uuid.uuid4().hex}"
     jobs0 = scheduler.numTotalJobs()
     sc.setJobGroup(group, group)
     try:
-        ib = eval_match_interval(ev, Q.query(name))
-        ib.materialize()
-        if name in Q.STRUCTURAL_ONLY:
-            out = ib.coalesced().count()
-        else:
-            out = ib.points(distinct=False).count()
+        result = action()
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
         sc.setLocalProperty("spark.job.description", None)
@@ -98,7 +99,32 @@ def run_query(spark, data, name: str) -> tuple[int, int, int, int]:
         time.sleep(0.05)
     jobs = len(tracker.getJobIdsForGroup(group))
     assert jobs == submitted
+    return result, jobs
+
+
+def run_query(spark, data, name: str) -> tuple[int, int, int, int]:
+    """One Table II query from a cleared cache: (output size, jobs,
+    joins, exchanges)."""
+    spark.catalog.clearCache()
+    ev = IntervalEvaluator(SparkITPG.from_data(spark, data))
+
+    def action():
+        ib = eval_match_interval(ev, Q.query(name))
+        ib.materialize()
+        if name in Q.STRUCTURAL_ONLY:
+            return ib, ib.coalesced().count()
+        return ib, ib.points(distinct=False).count()
+
+    (ib, out), jobs = counted_jobs(spark, name, action)
     return (out, jobs, *plan_ops(ib.df))
+
+
+def run_point_query(spark, data, name: str) -> tuple[int, int]:
+    """One query on the point backend from a cleared cache and a fresh
+    evaluator: (output size, jobs)."""
+    spark.catalog.clearCache()
+    ev = PointEvaluator(SparkITPG.from_data(spark, data).to_tpg())
+    return counted_jobs(spark, f"point-{name}", lambda: eval_match_point(ev, Q.query(name)).count())
 
 
 @pytest.mark.parametrize("name", Q.TABLE2)
@@ -110,3 +136,11 @@ def test_plan_shape_bounded(spark, gate_data, name):
     assert jobs <= max_jobs
     assert joins <= max_joins
     assert exchanges <= max_exchanges
+
+
+@pytest.mark.parametrize("name", sorted(POINT_BOUNDS))
+def test_point_plan_shape_bounded(spark, gate_data, name):
+    out, jobs = run_point_query(spark, gate_data, name)
+    print(f"[plan-shape] point {name}: output={out} jobs={jobs}")
+    assert out > 0, "the gate needs a non-empty answer (see module docstring)"
+    assert jobs <= POINT_BOUNDS[name]

@@ -1,9 +1,15 @@
 """Point-based Spark evaluator (Theorem C.1) vs the reference semantics."""
+import random
+
 import pytest
 
 from repro.trpq import ast
+from repro.trpq import queries as Q
+from repro.trpq.match import eval_match_point
+from repro.trpq.semantics import LocalTPG, holds
 from repro.trpq.semantics import eval_path as ref_eval
-from tests.conftest import ALL_QUERIES
+from repro.trpq.spark_eval import PointEvaluator
+from tests.conftest import ALL_QUERIES, FIXED_CONJUNCTIONS, random_conjunction, time_eq
 
 
 def spark_rel(ev, path):
@@ -40,6 +46,11 @@ EXPRESSIONS = [
     ast.TestExpr(ast.PathTest(ast.seq(ast.F, ast.AndTest(ast.LabelTest("meets"), ast.EXISTS)))),
     ast.Repeat(ast.union(ast.F, ast.B), 0, 2),
     ast.Repeat(ast.Repeat(ast.P, 2, 2), 0, None),
+    # tests inside a concatenation: leading, between moves, trailing, only
+    ast.seq(ast.LabelTest("Person"), ast.EXISTS, ast.F, ast.LabelTest("meets"), ast.F, ast.EXISTS),
+    ast.seq(ast.NODE, ast.Repeat(ast.seq(ast.N, ast.EXISTS), 0, 2), ast.PropTest("risk", "high")),
+    ast.seq(ast.EXISTS, ast.LtTest(5), ast.LabelTest("Person")),
+    ast.seq(ast.PathTest(ast.F), ast.N, ast.NotTest(ast.EXISTS)),
 ]
 
 
@@ -110,3 +121,76 @@ def test_gen_graph_queries_match_reference(gen_point_ev, gen_local):
         q = Q.query(name)
         got = {tuple(r) for r in eval_match_point(gen_point_ev, q).collect()}
         assert got == eval_match_local(gen_local, q), name
+
+
+# ------------------------------------------------- compiled conjunctions
+
+
+class PairwisePointEvaluator(PointEvaluator):
+    """Builds every conjunction and negation from its parts' relations, the
+    general path, as the reference for compiled conjunctions."""
+
+    def test_pairs(self, test):
+        if isinstance(test, (ast.AndTest, ast.NotTest)) and test not in self._test_memo:
+            self._test_memo[test] = self._general(test)
+        return super().test_pairs(test)
+
+
+def pairs(df):
+    return {tuple(r) for r in df.select("id", "t").collect()}
+
+
+def ref_pairs(local, test):
+    return {(o, t) for o, t in local.pto() if holds(local, test, o, t)}
+
+
+@pytest.mark.parametrize("data_fx, itpg_fx", [("fig1_data", "fig1_itpg"), ("rung", "rung_itpg")])
+def test_compiled_conjunctions_match_reference(data_fx, itpg_fx, request):
+    data, itpg = request.getfixturevalue(data_fx), request.getfixturevalue(itpg_fx)
+    local, tpg = LocalTPG.from_data(data), itpg.to_tpg()
+    compiled, general = PointEvaluator(tpg), PairwisePointEvaluator(tpg)
+    rng = random.Random(5)
+    tests = FIXED_CONJUNCTIONS + [random_conjunction(rng, data) for _ in range(12)]
+    for test in tests:
+        got = pairs(compiled.test_pairs(test))
+        assert got == pairs(general.test_pairs(test)), test
+        assert got == ref_pairs(local, test), test
+
+
+class TestGeneralPathConjunctions:
+    """Conjunctions with an ``∨``, a ``¬`` other than ``¬<k``, or ``?path``
+    are built from their parts; simple ones are one relation."""
+
+    @pytest.mark.parametrize(
+        "test",
+        [
+            ast.conj(ast.NODE, ast.OrTest(ast.LabelTest("Room"), ast.PropTest("risk", "high")), ast.EXISTS),
+            ast.conj(ast.LabelTest("Person"), ast.NotTest(ast.PropTest("test", "neg"))),
+            ast.conj(ast.NODE, ast.PathTest(ast.F), ast.EXISTS),
+        ],
+    )
+    def test_or_not_path_take_general_path(self, test, fig1_tpg, fig1_local):
+        ev = PointEvaluator(fig1_tpg)
+        got = pairs(ev.test_pairs(test))
+        assert test.left in ev._test_memo and test.right in ev._test_memo
+        assert got == ref_pairs(fig1_local, test)
+
+    def test_simple_conjunction_is_one_relation(self, fig1_tpg):
+        ev = PointEvaluator(fig1_tpg)
+        test = ast.conj(ast.NODE, ast.LabelTest("Person"), time_eq(3), ast.EXISTS)
+        ev.test_pairs(test)
+        assert list(ev._test_memo) == [test]
+
+
+@pytest.mark.parametrize("name", ["Q6", "Q9"])
+def test_fresh_evaluators_repeat_rows_and_jobs(name, spark, gen_point_ev):
+    """Nothing an evaluator materialises serves the next one: two fresh
+    evaluators on one graph return the same rows with the same Spark jobs
+    (a benchmark pass starts from a fresh evaluator)."""
+    scheduler = spark.sparkContext._jsc.sc().dagScheduler()
+    runs = []
+    for _ in range(2):
+        jobs0 = scheduler.numTotalJobs()
+        rows = {tuple(r) for r in eval_match_point(PointEvaluator(gen_point_ev.g), Q.query(name)).collect()}
+        runs.append((rows, scheduler.numTotalJobs() - jobs0))
+    assert runs[0] == runs[1]
