@@ -51,8 +51,13 @@ def intersect_intervals(
 
 
 def explode_points(df: DataFrame, s: str = "s", e: str = "e", out: str = "t") -> DataFrame:
-    """Expand ``[s, e]`` interval rows into one row per time point."""
-    return df.withColumn(out, F.explode(F.sequence(F.col(s), F.col(e)))).drop(s, e)
+    """Expand ``[s, e]`` interval rows into one row per time point; rows
+    with ``s > e`` are empty and expand to nothing."""
+    return (
+        df.filter(F.col(s) <= F.col(e))
+        .withColumn(out, F.explode(F.sequence(F.col(s), F.col(e))))
+        .drop(s, e)
+    )
 
 
 def complement_intervals(

@@ -21,14 +21,14 @@ unions. Anything outside (structural Kleene stars, nested path conditions,
 a second temporal segment) raises :class:`UnsupportedFragment`; the general
 point-based evaluator covers those.
 
-Interval relations come in two shapes:
-
-* *aligned* — ``(o1, o2, s, e)``: for every ``t ∈ [s, e]`` the path holds
-  from ``(o1, t)`` to ``(o2, t)`` (purely structural, times equal);
-* *offset* — ``(o1, o2, s1, e1, s2, e2, dmin, dmax)``: the path holds from
-  ``(o1, t1)`` to ``(o2, t2)`` for every ``t1 ∈ [s1, e1]``,
-  ``t2 ∈ [s2, e2]`` with ``t2 − t1 ∈ [dmin, dmax]`` (``NULL`` bounds mean
-  ∓∞).
+Every interval relation has the columns ``(o1, o2, s1, e1, s2, e2, dmin,
+dmax)``: the path holds from ``(o1, t1)`` to ``(o2, t2)`` for every
+``t1 ∈ [s1, e1]``, ``t2 ∈ [s2, e2]`` with ``t2 − t1 ∈ [dmin, dmax]``
+(``NULL`` bounds mean ∓∞). A structural relation is the case
+``dmin = dmax = 0``, ``[s1, e1] = [s2, e2]``. Tests, temporal blocks and the
+MATCH chain join all extend a relation by :func:`compose`, which is exact
+whenever one of its two sides has ``dmin = dmax = 0``; at most one temporal
+segment per branch (and one temporal link per chain) guarantees that.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
 
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from ..tpg.model import SparkITPG
@@ -48,31 +48,71 @@ class UnsupportedFragment(Exception):
     """The expression falls outside the Section VI interval fragment."""
 
 
-ALIGNED_COLS = ["o1", "o2", "s", "e"]
-OFFSET_COLS = ["o1", "o2", "s1", "e1", "s2", "e2", "dmin", "dmax"]
+COLS = ["o1", "o2", "s1", "e1", "s2", "e2", "dmin", "dmax"]
 
 
 @dataclass
 class LinkRel:
-    """An evaluated path link: aligned or offset interval relation."""
+    """An evaluated path link: an interval relation (columns :data:`COLS`)
+    and whether a temporal step produced it."""
 
     df: DataFrame
-    offset: bool
+    temporal: bool
 
-    def lifted(self) -> DataFrame:
-        """The relation in offset schema (aligned rows get dmin=dmax=0)."""
-        if self.offset:
-            return self.df.select(*OFFSET_COLS)
-        return self.df.select(
-            "o1",
+
+def diagonal(tt: DataFrame) -> DataFrame:
+    """The block of a test table ``(id, s, e)``: ``(o, t)`` to ``(o, t)``
+    for every ``t ∈ [s, e]``."""
+    zero = F.lit(0).cast("long")
+    return tt.select(
+        "id",
+        F.col("s").alias("s1"), F.col("e").alias("e1"),
+        F.col("s").alias("s2"), F.col("e").alias("e2"),
+        zero.alias("dmin"), zero.alias("dmax"),
+    )
+
+
+def compose(left: DataFrame, right: DataFrame | dict[str, Column]) -> DataFrame:
+    """Composition of two interval relations where they meet: ``left``'s
+    ``(o2, t2)`` is ``right``'s ``(o1, t1)``.
+
+    ``right`` is a relation (:data:`COLS`) or a *block*, which keeps the
+    object (``o2 = o1``): per object, with the columns ``id, s1 .. dmax``,
+    or shared by every object, as the ``s1 .. dmax`` columns themselves
+    (applied without a join). With the shared time
+    ``X = [s2, e2]ₗ ∩ [s1, e1]ᵣ`` a row keeps ``t1 ∈ [s1, e1]ₗ ∩ (X − Dₗ)``,
+    ``t2 ∈ [s2, e2]ᵣ ∩ (X + Dᵣ)`` and ``D = Dₗ + Dᵣ``; rows with an empty
+    ``X`` or an empty side are dropped. The result is exact when ``Dₗ = 0``
+    or ``Dᵣ = 0``. Columns of ``left`` beyond :data:`COLS` are carried
+    through."""
+    if isinstance(right, dict):
+        met, moves = left.withColumns({"_r" + c: v for c, v in right.items()}), False
+    else:
+        moves = "o1" in right.columns
+        key = "o1" if moves else "id"
+        met = left.join(
+            right.select(
+                F.col(key).alias("o2"),
+                *(F.col(c).alias("_r" + c) for c in right.columns if c != key),
+            ),
             "o2",
-            F.col("s").alias("s1"),
-            F.col("e").alias("e1"),
-            F.col("s").alias("s2"),
-            F.col("e").alias("e2"),
-            F.lit(0).cast("long").alias("dmin"),
-            F.lit(0).cast("long").alias("dmax"),
         )
+    # a block keeps o2, the join key, so later joins on it need no shuffle
+    o2 = "_ro2" if moves else "o2"
+    xs = F.greatest("s2", "_rs1")
+    xe = F.least("e2", "_re1")
+    s1 = F.greatest(F.col("s1"), xs - F.col("dmax"))
+    e1 = F.least(F.col("e1"), xe - F.col("dmin"))
+    s2 = F.greatest(F.col("_rs2"), xs + F.col("_rdmin"))
+    e2 = F.least(F.col("_re2"), xe + F.col("_rdmax"))
+    extra = [c for c in left.columns if c not in COLS]
+    # filter on the input columns, before the select replaces them
+    return met.filter((xs <= xe) & (s1 <= e1) & (s2 <= e2)).select(
+        *extra, "o1", F.col(o2).alias("o2"),
+        s1.alias("s1"), e1.alias("e1"), s2.alias("s2"), e2.alias("e2"),
+        (F.col("dmin") + F.col("_rdmin")).alias("dmin"),
+        (F.col("dmax") + F.col("_rdmax")).alias("dmax"),
+    )
 
 
 @dataclass(frozen=True)
@@ -209,36 +249,22 @@ class IntervalEvaluator:
 
     # ------------------------------------------------------------- links
     def eval_link(self, path: ast.Path) -> LinkRel:
-        """Evaluate a path link (Steps 1 and 2) to an interval relation."""
+        """Evaluate a path link (Steps 1 and 2) to an interval relation.
+
+        It starts from the diagonal of its leading test (all MATCH segments
+        have one), or of every object over Ω."""
         parts = list(path.parts) if isinstance(path, ast.Seq) else [path]
-        state = self._seed(parts)
+        if parts and isinstance(parts[0], ast.TestExpr):
+            seed = self.test_table(parts.pop(0).test)
+        else:
+            seed = self.g.objects.select(
+                "id", *(F.lit(t).cast("long").alias(c) for t, c in zip(self.g.omega, "se"))
+            )
+        df = diagonal(seed).select(F.col("id").alias("o1"), F.col("id").alias("o2"), *COLS[2:])
+        state = LinkRel(df, temporal=False)
         for part in parts:
             state = self._apply(state, part)
         return state
-
-    def _seed(self, parts: list[ast.Path]) -> LinkRel:
-        """Initial aligned diagonal. When the link starts with a test (all
-        MATCH segments do), seed from its validity intervals instead of the
-        full PTO diagonal."""
-        lo, hi = self.g.omega
-        if parts and isinstance(parts[0], ast.TestExpr):
-            try:
-                tt = self.test_table(parts[0].test)
-            except UnsupportedFragment:
-                tt = None
-            if tt is not None:
-                df = tt.select(
-                    F.col("id").alias("o1"), F.col("id").alias("o2"), "s", "e"
-                )
-                parts.pop(0)
-                return LinkRel(df, offset=False)
-        df = self.g.objects.select(
-            F.col("id").alias("o1"),
-            F.col("id").alias("o2"),
-            F.lit(lo).cast("long").alias("s"),
-            F.lit(hi).cast("long").alias("e"),
-        )
-        return LinkRel(df, offset=False)
 
     # ------------------------------------------------------------ apply
     def _apply(self, state: LinkRel, part: ast.Path) -> LinkRel:
@@ -257,15 +283,8 @@ class IntervalEvaluator:
             return state
         if isinstance(part, ast.Union):
             branches = [self._apply(state, p) for p in part.parts]
-            if all(not b.offset for b in branches):
-                df = branches[0].df
-                for b in branches[1:]:
-                    df = df.unionByName(b.df)
-                return LinkRel(df, offset=False)
-            df = branches[0].lifted()
-            for b in branches[1:]:
-                df = df.unionByName(b.lifted())
-            return LinkRel(df, offset=True)
+            df = reduce(DataFrame.unionByName, [b.df for b in branches])
+            return LinkRel(df, any(b.temporal for b in branches))
         if isinstance(part, ast.Repeat):
             if part.lo == 0 and part.hi == 0:
                 return state
@@ -275,11 +294,8 @@ class IntervalEvaluator:
         raise TypeError(f"unknown path {part!r}")
 
     def _apply_test(self, state: LinkRel, test: ast.Test) -> LinkRel:
-        s, e = ("s2", "e2") if state.offset else ("s", "e")
-        tt = self.test_table(test).select(
-            F.col("id").alias("o2"), F.col("s").alias(s), F.col("e").alias(e)
-        )
-        return LinkRel(intersect_intervals(state.df, tt, ["o2"], s, e), state.offset)
+        df = compose(state.df, diagonal(self.test_table(test)))
+        return LinkRel(df, state.temporal)
 
     def _apply_move(self, state: LinkRel, op: str) -> LinkRel:
         """Structural step F/B: node→edge and edge→node joins; intervals
@@ -296,64 +312,31 @@ class IntervalEvaluator:
             .drop("o2")
             .withColumnRenamed("_new", "o2")
         )
-        cols = OFFSET_COLS if state.offset else ALIGNED_COLS
-        return LinkRel(df.select(*cols), state.offset)
+        return LinkRel(df.select(*COLS), state.temporal)
 
     def _apply_temporal(self, state: LinkRel, atom: _TemporalAtom) -> LinkRel:
-        """Step 2: interval arithmetic for a temporal navigation block."""
-        if state.offset:
+        """Step 2: compose with the block's own relation. ``N`` steps
+        ``t+1 .. t'`` (``P``: ``t-1 .. t'``) must lie in one maximal
+        existence interval ``[s, e]`` of the object (all of Ω without
+        ``∃``), with ``|t' − t| ∈ [max(n, 1), m]``; ``n = 0`` adds the
+        relation itself."""
+        if state.temporal:
             raise UnsupportedFragment(
                 "more than one temporal segment per branch is outside the fragment"
             )
-        lo_dom, hi_dom = self.g.omega
-        lo1 = max(atom.lo, 1)
-        parts: list[DataFrame] = []
-        if atom.lo == 0:
-            # zero repetitions: stay put, no existence requirement.
-            parts.append(LinkRel(state.df, offset=False).lifted())
+        parts = [state.df] if atom.lo == 0 else []
         if atom.hi is None or atom.hi >= 1:
             if atom.require_exist:
-                ex = self.g.exist.select(
-                    F.col("id").alias("o2"), F.col("s").alias("a"), F.col("e").alias("b")
-                )
-                base = state.df.join(ex, "o2")
+                s, e = F.col("s"), F.col("e")
             else:
-                base = state.df.withColumn("a", F.lit(lo_dom).cast("long")).withColumn(
-                    "b", F.lit(hi_dom).cast("long")
-                )
-            hi_lit = F.lit(atom.hi).cast("long") if atom.hi is not None else F.lit(None).cast("long")
+                s, e = (F.lit(t).cast("long") for t in self.g.omega)
+            lo1 = F.lit(max(atom.lo, 1)).cast("long")
+            hi = F.lit(atom.hi).cast("long")  # NULL when unbounded
             if atom.axis == "N":
-                # steps t+1 .. t' all inside [a, b]; t' - t ∈ [lo1, hi]
-                s1 = F.greatest(F.col("s"), F.col("a") - 1)
-                e1 = F.least(F.col("e"), F.col("b") - 1)
-                s2 = F.greatest(F.col("a"), s1 + lo1)
-                e2 = F.least(F.col("b"), e1 + hi_lit)
-                dmin = F.lit(lo1).cast("long")
-                dmax = hi_lit
+                block = {"s1": s - 1, "e1": e - 1, "s2": s, "e2": e, "dmin": lo1, "dmax": hi}
             else:
-                # steps t-1 .. t' all inside [a, b]; t - t' ∈ [lo1, hi]
-                s1 = F.greatest(F.col("s"), F.col("a") + 1)
-                e1 = F.least(F.col("e"), F.col("b") + 1)
-                s2 = F.greatest(F.col("a"), s1 - hi_lit)
-                e2 = F.least(F.col("b"), e1 - lo1)
-                dmin = -hi_lit
-                dmax = F.lit(-lo1).cast("long")
-            moved = (
-                base.select(
-                    "o1",
-                    "o2",
-                    s1.alias("s1"),
-                    e1.alias("e1"),
-                    s2.alias("s2"),
-                    e2.alias("e2"),
-                    dmin.alias("dmin"),
-                    dmax.alias("dmax"),
-                )
-                .filter(F.col("s1") <= F.col("e1"))
-                .filter(F.col("s2") <= F.col("e2"))
-            )
-            parts.append(moved)
-        df = parts[0]
-        for p in parts[1:]:
-            df = df.unionByName(p)
-        return LinkRel(df, offset=True)
+                block = {"s1": s + 1, "e1": e + 1, "s2": s, "e2": e, "dmin": -hi, "dmax": -lo1}
+            if atom.require_exist:
+                block = self.g.exist.select("id", *(v.alias(c) for c, v in block.items()))
+            parts.append(compose(state.df, block))
+        return LinkRel(reduce(DataFrame.unionByName, parts), temporal=True)

@@ -22,14 +22,16 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..tpg.sparkutil import coalesce_intervals, intersect_intervals
+from ..tpg.sparkutil import coalesce_intervals, explode_points
 from . import ast
-from .interval_eval import OFFSET_COLS, IntervalEvaluator, LinkRel, UnsupportedFragment
+from .interval_eval import COLS, IntervalEvaluator, UnsupportedFragment, compose
 from .parser import MatchQuery
 from .semantics import LocalTPG, eval_path
 from .spark_eval import PointEvaluator
 
-_RESERVED = {"o1", "o2", "s", "e", "s1", "e1", "s2", "e2", "dmin", "dmax", "_cur", "t", "t1", "t2"}
+_RESERVED = {
+    *COLS, "s", "e", "t", "t1", "t2", "_cur", "_m", "_lo", "_hi", *("_r" + c for c in COLS)
+}
 
 
 def segment_asts(q: MatchQuery, shared_once: bool = False) -> list[ast.Path]:
@@ -149,16 +151,16 @@ class IntervalBindings:
     """Composed interval relation for a whole MATCH chain (Steps 1–2).
 
     ``df`` carries one object column per *captured* variable plus the
-    interval columns: aligned chains have ``(s, e)`` (every variable's time
-    equals ``t ∈ [s, e]``); offset chains have
-    ``(s1, e1, s2, e2, dmin, dmax)`` with pre-temporal variables at ``t1``
-    and post-temporal variables at ``t2``.
+    interval columns ``(s1, e1, s2, e2, dmin, dmax)`` of
+    :data:`~repro.trpq.interval_eval.COLS`: variables up to the temporal
+    link's start (all of them when ``temporal`` is false) are bound at
+    ``t1``, the rest at ``t2``.
     """
 
     df: DataFrame
     vars_pre: list[str]
     vars_post: list[str]
-    offset: bool
+    temporal: bool
 
     @property
     def vars(self) -> list[str]:
@@ -173,150 +175,72 @@ class IntervalBindings:
     def points(self, distinct: bool = True) -> DataFrame:
         """Point-wise expansion to the binding table (Step 3).
 
-        ``distinct=False`` keeps duplicate bindings (bag semantics). The
-        paper's Table II output sizes for the temporal-navigation queries
-        are bag counts — Q11's 22.9M tuples exceed the graph's 4.8M
-        (person, time) pairs, so its dataflow implementation does not
-        deduplicate — and the benchmark harness mirrors that convention.
+        ``distinct=False`` keeps duplicate bindings (bag semantics): one
+        row per ``(t1, t2)`` witness pair. The paper's Table II output
+        sizes for the temporal-navigation queries are bag counts — Q11's
+        22.9M tuples exceed the graph's 4.8M (person, time) pairs, so its
+        dataflow implementation does not deduplicate — and the benchmark
+        harness mirrors that convention. ``t2`` is expanded only for bag
+        output or when a variable is bound at it.
         """
-        cols: list = []
-        for v in self.vars:
-            cols += [v, f"{v}_time"]
-        if not self.offset:
-            df = self.df.withColumn("t", F.explode(F.sequence("s", "e")))
-            out = df.select(
-                *[
-                    c
-                    for v in self.vars
-                    for c in (F.col(v), F.col("t").alias(f"{v}_time"))
-                ]
-            )
-            return out.distinct() if distinct else out
-        t1lo = F.greatest(F.col("s1"), F.col("s2") - F.col("dmax"))
-        t1hi = F.least(F.col("e1"), F.col("e2") - F.col("dmin"))
-        if not distinct:
-            # bag semantics: expand full (t1, t2) witness pairs, then
-            # project to the captured variables (the paper's accounting).
-            return self._expand_pairs(t1lo, t1hi)
-        if not self.vars_post:
-            df = (
-                self.df.withColumn("_lo", t1lo)
-                .withColumn("_hi", t1hi)
-                .filter(F.col("_lo") <= F.col("_hi"))
-                .withColumn("t1", F.explode(F.sequence("_lo", "_hi")))
-            )
-            out = df.select(
-                *[
-                    c
-                    for v in self.vars_pre
-                    for c in (F.col(v), F.col("t1").alias(f"{v}_time"))
-                ]
-            )
-            return out.distinct() if distinct else out
-        if not self.vars_pre:
-            t2lo = F.greatest(F.col("s2"), F.col("s1") + F.col("dmin"))
-            t2hi = F.least(F.col("e2"), F.col("e1") + F.col("dmax"))
-            df = (
-                self.df.withColumn("_lo", t2lo)
-                .withColumn("_hi", t2hi)
-                .filter(F.col("_lo") <= F.col("_hi"))
-                .withColumn("t2", F.explode(F.sequence("_lo", "_hi")))
-            )
-            out = df.select(
-                *[
-                    c
-                    for v in self.vars_post
-                    for c in (F.col(v), F.col("t2").alias(f"{v}_time"))
-                ]
-            )
-            return out.distinct() if distinct else out
-        return self._expand_pairs(t1lo, t1hi).distinct()
-
-    def _expand_pairs(self, t1lo, t1hi) -> DataFrame:
-        """Expand every valid (t1, t2) witness pair and project to the
-        captured variable columns (no dedup)."""
-        df = (
-            self.df.withColumn("_lo", t1lo)
-            .withColumn("_hi", t1hi)
-            .filter(F.col("_lo") <= F.col("_hi"))
-            .withColumn("t1", F.explode(F.sequence("_lo", "_hi")))
+        df = explode_points(
+            self.df.withColumns({
+                "_lo": F.greatest(F.col("s1"), F.col("s2") - F.col("dmax")),
+                "_hi": F.least(F.col("e1"), F.col("e2") - F.col("dmin")),
+            }),
+            "_lo", "_hi", "t1",
         )
-        t2lo = F.greatest(F.col("s2"), F.col("t1") + F.col("dmin"))
-        t2hi = F.least(F.col("e2"), F.col("t1") + F.col("dmax"))
-        df = (
-            df.withColumn("_lo2", t2lo)
-            .withColumn("_hi2", t2hi)
-            .filter(F.col("_lo2") <= F.col("_hi2"))
-            .withColumn("t2", F.explode(F.sequence("_lo2", "_hi2")))
+        if self.vars_post or not distinct:
+            df = explode_points(
+                df.withColumns({
+                    "_lo": F.greatest(F.col("s2"), F.col("t1") + F.col("dmin")),
+                    "_hi": F.least(F.col("e2"), F.col("t1") + F.col("dmax")),
+                }),
+                "_lo", "_hi", "t2",
+            )
+        out = df.select(
+            *[c for v in self.vars_pre for c in (F.col(v), F.col("t1").alias(f"{v}_time"))],
+            *[c for v in self.vars_post for c in (F.col(v), F.col("t2").alias(f"{v}_time"))],
         )
-        sel = []
-        for v in self.vars_pre:
-            sel += [F.col(v), F.col("t1").alias(f"{v}_time")]
-        for v in self.vars_post:
-            sel += [F.col(v), F.col("t2").alias(f"{v}_time")]
-        return df.select(*sel)
+        return out.distinct() if distinct else out
 
     def coalesced(self) -> DataFrame:
         """Temporally coalesced output for purely structural queries
         (Q1–Q5 style): one row per variable tuple and maximal interval."""
-        if self.offset:
-            raise UnsupportedFragment("coalesced output requires an aligned chain")
-        return coalesce_intervals(self.df.select(*self.vars, "s", "e"), self.vars)
+        if self.temporal:
+            raise UnsupportedFragment("coalesced output requires a structural chain")
+        df = self.df.select(*self.vars, F.col("s1").alias("s"), F.col("e1").alias("e"))
+        return coalesce_intervals(df, self.vars)
 
 
 def eval_match_interval(ev: IntervalEvaluator, q: MatchQuery) -> IntervalBindings:
     """Evaluate the chain on the interval backend (Steps 1–2 only).
 
     Each pattern is tested once: a link relation ends untested at the
-    shared position, and the chain join intersects its intervals there
-    with those of the next link, which starts from the pattern's test.
+    shared position, and :func:`~repro.trpq.interval_eval.compose` joins it
+    there with the next link, which starts from the pattern's test. A
+    pattern's variable is captured at its position before that join.
     """
     segs = segment_asts(q, shared_once=True)
     pats = q.patterns
     links = [ev.eval_link(s) for s in segs]
+    if sum(lr.temporal for lr in links) > 1:
+        raise UnsupportedFragment("more than one temporal link in a MATCH chain")
+    # patterns after the temporal link are bound at t2
+    split = next((i + 1 for i, lr in enumerate(links) if lr.temporal), len(pats))
 
-    if len(pats) == 1:
-        v = pats[0].var
-        df = links[0].df.select(F.col("o1").alias(v), "s", "e")
-        return IntervalBindings(df, [v], [], offset=False)
-
-    def var_cols(df: DataFrame, idx: int, col: str) -> DataFrame:
-        v = pats[idx].var
+    def capture(df: DataFrame, idx: int, col: str) -> DataFrame:
+        v = pats[idx].var if idx < len(pats) else None
         return df.withColumn(v, F.col(col)) if v else df
 
-    first = links[0]
-    acc = var_cols(first.df, 0, "o1")
-    acc = var_cols(acc, 1, "o2")
-    acc = acc.withColumnRenamed("o2", "_cur").drop("o1")
-    offset = first.offset
-    split_at = 1 if offset else None  # patterns > split_at-1 are post-temporal
+    acc = capture(links[0].df, 0, "o1")
     for i in range(1, len(links)):
-        lr: LinkRel = links[i]
-        if lr.offset and offset:
-            raise UnsupportedFragment(
-                "more than one temporal link in a MATCH chain"
-            )
-        ends = [F.col("o1").alias("_cur"), F.col("o2").alias("_nxt")]
-        if lr.offset:
-            # the aligned chain's [s, e] meets the link's start interval
-            acc = acc.withColumnRenamed("s", "s1").withColumnRenamed("e", "e1")
-            rel = lr.df.select(*ends, *OFFSET_COLS[2:])
-            s, e = "s1", "e1"
-            offset = True
-            split_at = i + 1
-        else:
-            s, e = ("s2", "e2") if offset else ("s", "e")
-            rel = lr.df.select(*ends, F.col("s").alias(s), F.col("e").alias(e))
-        acc = (
-            intersect_intervals(acc, rel, ["_cur"], s, e)
-            .drop("_cur")
-            .withColumnRenamed("_nxt", "_cur")
-        )
-        acc = var_cols(acc, i + 1, "_cur")
-    acc = acc.drop("_cur")
+        acc = compose(capture(acc, i, "o2"), links[i].df)
+    acc = capture(acc, len(links), "o2")
     named = [(j, p.var) for j, p in enumerate(pats) if p.var]
-    if split_at is None:
-        return IntervalBindings(acc, [v for _, v in named], [], offset=False)
-    vars_pre = [v for j, v in named if j < split_at]
-    vars_post = [v for j, v in named if j >= split_at]
-    return IntervalBindings(acc, vars_pre, vars_post, offset=True)
+    return IntervalBindings(
+        acc.select(*[v for _, v in named], *COLS[2:]),
+        [v for j, v in named if j < split],
+        [v for j, v in named if j >= split],
+        temporal=any(lr.temporal for lr in links),
+    )

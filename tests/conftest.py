@@ -122,6 +122,19 @@ def gen_point_ev(gen_itpg):
     return PointEvaluator(gen_itpg.to_tpg())
 
 
+def witness_pairs(df):
+    """The ``(o1, t1, o2, t2)`` pairs an interval relation (columns
+    ``o1, o2, s1, e1, s2, e2, dmin, dmax``) denotes, expanded in Python."""
+    got = set()
+    for row in df.collect():
+        lo = row["dmin"] if row["dmin"] is not None else -(10**9)
+        hi = row["dmax"] if row["dmax"] is not None else 10**9
+        for t1 in range(row["s1"], row["e1"] + 1):
+            for t2 in range(max(row["s2"], t1 + lo), min(row["e2"], t1 + hi) + 1):
+                got.add((row["o1"], t1, row["o2"], t2))
+    return got
+
+
 # --- simple conjunctions, which both Spark evaluators compile into one scan
 def time_eq(k):
     """``{time = 'k'}`` as the parser lowers it: ``<k+1 ∧ ¬<k``."""

@@ -13,9 +13,16 @@ from repro.trpq.match import (
     eval_match_local,
     out_columns,
 )
+from repro.trpq.parser import parse_match
 from repro.trpq.semantics import LocalTPG, holds
 from repro.trpq.semantics import eval_path as ref_eval
-from tests.conftest import ALL_QUERIES, FIXED_CONJUNCTIONS, random_conjunction, time_eq
+from tests.conftest import (
+    ALL_QUERIES,
+    FIXED_CONJUNCTIONS,
+    random_conjunction,
+    time_eq,
+    witness_pairs,
+)
 
 
 @pytest.mark.parametrize("name", ALL_QUERIES)
@@ -35,6 +42,37 @@ def test_gen_graph_matches_reference(name, gen_interval_ev, gen_local):
         .collect()
     }
     assert got == eval_match_local(gen_local, q)
+
+
+# chains whose temporal link follows a structural one
+STRUCTURAL_THEN_TEMPORAL = [
+    "MATCH (x:Person)-[:meets]->(y:Person)-/NEXT[1,3]/-(z) ON g",
+    "MATCH (x:Person)-[:meets]->(y)-/NEXT*/-(z {test = 'pos'}) ON g",
+    "MATCH (x:Person)-/FWD/:meets/FWD/-(y)-/PREV[0,2]/-(z)-[:visits]->(r:Room) ON g",
+]
+
+
+@pytest.fixture(scope="module")
+def rung_interval_ev(rung_itpg):
+    return IntervalEvaluator(rung_itpg)
+
+
+@pytest.fixture(scope="module")
+def rung_local(rung):
+    return LocalTPG.from_data(rung)
+
+
+@pytest.mark.parametrize("clause", STRUCTURAL_THEN_TEMPORAL)
+@pytest.mark.parametrize(
+    "ev_fx, local_fx", [("fig1_interval_ev", "fig1_local"), ("rung_interval_ev", "rung_local")]
+)
+def test_structural_link_before_temporal_link(clause, ev_fx, local_fx, request):
+    ev, local = request.getfixturevalue(ev_fx), request.getfixturevalue(local_fx)
+    q = parse_match(clause)
+    ib = eval_match_interval(ev, q)
+    assert ib.temporal
+    got = {tuple(r) for r in ib.points().select(*out_columns(q)).collect()}
+    assert got == eval_match_local(local, q)
 
 
 class TestLinkRelations:
@@ -63,14 +101,7 @@ class TestLinkRelations:
     def test_link_matches_reference(self, idx, fig1_interval_ev, fig1_local):
         link = self.LINKS[idx]
         lr = fig1_interval_ev.eval_link(link)
-        got = set()
-        for row in lr.lifted().collect():
-            for t1 in range(row["s1"], row["e1"] + 1):
-                lo = row["dmin"] if row["dmin"] is not None else -10**9
-                hi = row["dmax"] if row["dmax"] is not None else 10**9
-                for t2 in range(max(row["s2"], t1 + lo), min(row["e2"], t1 + hi) + 1):
-                    got.add((row["o1"], t1, row["o2"], t2))
-        assert got == ref_eval(fig1_local, link)
+        assert witness_pairs(lr.df) == ref_eval(fig1_local, link)
 
 
 class TestFragmentBoundaries:
@@ -98,8 +129,6 @@ class TestFragmentBoundaries:
             fig1_interval_ev.eval_link(link)
 
     def test_two_temporal_links_unsupported(self, fig1_interval_ev):
-        from repro.trpq.parser import parse_match
-
         q = parse_match("MATCH (x)-/NEXT/-(y)-/PREV/-(z) ON g")
         with pytest.raises(UnsupportedFragment):
             eval_match_interval(fig1_interval_ev, q)
@@ -133,12 +162,12 @@ class TestCoalescedOutput:
     @pytest.mark.parametrize("name", Q.STRUCTURAL_ONLY)
     def test_structural_queries_are_aligned(self, name, fig1_interval_ev):
         ib = eval_match_interval(fig1_interval_ev, Q.query(name))
-        assert not ib.offset
+        assert not ib.temporal
 
     @pytest.mark.parametrize("name", [n for n in Q.TABLE2 if n not in Q.STRUCTURAL_ONLY])
     def test_temporal_queries_are_offset(self, name, fig1_interval_ev):
         ib = eval_match_interval(fig1_interval_ev, Q.query(name))
-        assert ib.offset
+        assert ib.temporal
 
 
 class TestVariableSides:

@@ -1,7 +1,7 @@
 """Plan-shape gate: Spark jobs and executed-plan joins/exchanges of every
 Table II query on the interval backend, and Spark jobs of Q2, Q6 and Q7 on
 the point backend, each bounded by the figure the current evaluator
-reaches. A plan change that adds a job, a join or an exchange fails here;
+reaches, next to the exact output size of each query. A plan change that adds a job, a join or an exchange fails here;
 one that removes some should lower the bound.
 
 Every query runs from a cleared cache and a fresh load, as a benchmark
@@ -22,28 +22,30 @@ from repro.trpq.interval_eval import IntervalEvaluator
 from repro.trpq.match import eval_match_interval, eval_match_point
 from repro.trpq.spark_eval import PointEvaluator
 
-# (Spark jobs, executed-plan joins, executed-plan exchanges) per query, as
-# measured with the test session's configuration (8 shuffle partitions,
-# broadcast joins off); run with -s to print the measured figures.
+# (output size, Spark jobs, executed-plan joins, executed-plan exchanges) per
+# query, as measured with the test session's configuration (8 shuffle
+# partitions, broadcast joins off); run with -s to print the measured
+# figures. The output is exact: coalesced rows for Q1–Q5, bag counts (one
+# row per witness pair) for Q6–Q12.
 BOUNDS = {
-    "Q1": (8, 1, 2),
-    "Q2": (9, 2, 3),
-    "Q3": (9, 2, 3),
-    "Q4": (9, 2, 3),
-    "Q5": (24, 9, 16),
-    "Q6": (13, 5, 8),
-    "Q7": (26, 11, 20),
-    "Q8": (24, 9, 16),
-    "Q9": (28, 13, 22),
-    "Q10": (28, 13, 22),
-    "Q11": (39, 22, 36),
-    "Q12": (48, 29, 48),
+    "Q1": (56, 8, 1, 2),
+    "Q2": (42, 9, 2, 3),
+    "Q3": (2, 9, 2, 3),
+    "Q4": (10, 9, 2, 3),
+    "Q5": (1, 24, 9, 16),
+    "Q6": (38, 13, 5, 8),
+    "Q7": (17, 26, 11, 20),
+    "Q8": (66, 24, 9, 16),
+    "Q9": (11, 28, 13, 22),
+    "Q10": (7, 28, 13, 22),
+    "Q11": (15, 39, 22, 36),
+    "Q12": (26, 48, 29, 48),
 }
 
-# Spark jobs per query on the point backend (Theorem C.1 evaluator), same
-# configuration; the point evaluator's relations are lazy except where the
-# repetition recursions checkpoint them.
-POINT_BOUNDS = {"Q2": 6, "Q6": 12, "Q7": 48}
+# (output size, Spark jobs) per query on the point backend (Theorem C.1
+# evaluator), same configuration; the point evaluator's relations are lazy
+# except where the repetition recursions checkpoint them.
+POINT_BOUNDS = {"Q2": (174, 6), "Q6": (38, 12), "Q7": (17, 48)}
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +134,8 @@ def test_plan_shape_bounded(spark, gate_data, name):
     out, jobs, joins, exchanges = run_query(spark, gate_data, name)
     print(f"[plan-shape] {name}: output={out} jobs={jobs} joins={joins} exchanges={exchanges}")
     assert out > 0, "the gate needs a non-empty answer (see module docstring)"
-    max_jobs, max_joins, max_exchanges = BOUNDS[name]
+    output, max_jobs, max_joins, max_exchanges = BOUNDS[name]
+    assert out == output
     assert jobs <= max_jobs
     assert joins <= max_joins
     assert exchanges <= max_exchanges
@@ -143,4 +146,6 @@ def test_point_plan_shape_bounded(spark, gate_data, name):
     out, jobs = run_point_query(spark, gate_data, name)
     print(f"[plan-shape] point {name}: output={out} jobs={jobs}")
     assert out > 0, "the gate needs a non-empty answer (see module docstring)"
-    assert jobs <= POINT_BOUNDS[name]
+    output, max_jobs = POINT_BOUNDS[name]
+    assert out == output
+    assert jobs <= max_jobs

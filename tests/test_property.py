@@ -17,6 +17,7 @@ from repro.trpq import ast
 from repro.trpq.interval_eval import IntervalEvaluator, UnsupportedFragment
 from repro.trpq.semantics import LocalTPG, eval_path
 from repro.trpq.spark_eval import PointEvaluator
+from tests.conftest import witness_pairs
 
 
 def random_graph(rng: random.Random, n_nodes=5, n_edges=6, horizon=8) -> ITPGData:
@@ -128,14 +129,7 @@ def test_random_interval_eval_matches_reference(spark, seed):
             lr = ev.eval_link(link)
         except UnsupportedFragment:
             continue
-        got = set()
-        for row in lr.lifted().collect():
-            lo = row["dmin"] if row["dmin"] is not None else -(10**9)
-            hi = row["dmax"] if row["dmax"] is not None else 10**9
-            for t1 in range(row["s1"], row["e1"] + 1):
-                for t2 in range(max(row["s2"], t1 + lo), min(row["e2"], t1 + hi) + 1):
-                    got.add((row["o1"], t1, row["o2"], t2))
-        assert got == eval_path(local, link), f"seed={seed} link={link}"
+        assert witness_pairs(lr.df) == eval_path(local, link), f"seed={seed} link={link}"
 
 
 # ---------------------------------------------------------- algebraic laws

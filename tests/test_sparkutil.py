@@ -65,6 +65,6 @@ def test_complement_uncoalesced_input(spark):
 
 
 def test_explode_points(spark):
-    df = iv_df(spark, [("x", 2, 4), ("y", 7, 7)])
+    df = iv_df(spark, [("x", 2, 4), ("y", 7, 7), ("z", 5, 3)])
     got = {(r["id"], r["t"]) for r in explode_points(df).collect()}
     assert got == {("x", 2), ("x", 3), ("x", 4), ("y", 7)}
