@@ -118,12 +118,13 @@ def run_query_interval(
 
 def table2_rows(
     spark: SparkSession,
-    data: ITPGData,
+    data: ITPGData | SparkITPG,
     names: tuple[str, ...] = Q.TABLE2,
     repeats: int = 1,
 ) -> list[dict]:
-    """Run Q1–Q12 on ``data`` via the interval evaluator (Table II)."""
-    itpg = SparkITPG.from_data(spark, data)
+    """Run Q1–Q12 on ``data`` (loaded here unless it already is) via the
+    interval evaluator (Table II)."""
+    itpg = data if isinstance(data, SparkITPG) else SparkITPG.from_data(spark, data)
     ev = IntervalEvaluator(itpg)
     rows = []
     for name in names:

@@ -32,7 +32,7 @@ def _empty(cols: list[str]) -> pd.DataFrame:
     return pd.DataFrame({c: pd.Series(dtype=object) for c in cols})
 
 
-@dataclass
+@dataclass(frozen=True)
 class ITPGData:
     """Canonical interval-timestamped TPG (Definition A.1), pandas-backed.
 
@@ -40,12 +40,19 @@ class ITPGData:
     ``exist``:   id, s, e — coalesced maximal validity intervals (ξ').
     ``props``:   id, p, v, s, e — coalesced valued intervals (σ').
     ``omega``:   the temporal domain [lo, hi].
+
+    Every instance is validated when it is built (:meth:`validate`), so
+    consumers may rely on the integrity constraints; in particular a
+    property is defined only where its object exists (σ ⊆ ξ).
     """
 
     omega: tuple[int, int]
     objects: pd.DataFrame
     exist: pd.DataFrame
     props: pd.DataFrame
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     # ---------------------------------------------------------------- build
     @staticmethod
@@ -72,14 +79,12 @@ class ITPGData:
                     (eid, p, v, s, e)
                     for v, (s, e) in iv.coalesce_valued([(v, (s, e)) for v, s, e in vals])
                 ]
-        g = ITPGData(
+        return ITPGData(
             omega=omega,
             objects=pd.DataFrame(objs, columns=OBJECT_COLS) if objs else _empty(OBJECT_COLS),
             exist=pd.DataFrame(ex, columns=EXIST_COLS) if ex else _empty(EXIST_COLS),
             props=pd.DataFrame(pr, columns=PROP_COLS) if pr else _empty(PROP_COLS),
         )
-        g.validate()
-        return g
 
     # ------------------------------------------------------------- validate
     def validate(self) -> None:
@@ -199,21 +204,31 @@ class ITPGData:
 
 @dataclass
 class SparkITPG:
-    """Interval-timestamped TPG as Spark DataFrames (cached)."""
+    """Interval-timestamped TPG as Spark DataFrames (cached): the paper's
+    Nodes/Edges interval relations, whose rows carry the object's kind and
+    label, so a pattern test is one selection over one of them."""
 
     omega: tuple[int, int]
     objects: DataFrame  # id, kind, label, src, tgt
-    exist: DataFrame  # id, s, e
-    props: DataFrame  # id, p, v, s, e
+    exist: DataFrame  # id, kind, label, s, e
+    props: DataFrame  # id, kind, label, p, v, s, e
 
     @staticmethod
     def from_data(spark: SparkSession, data: ITPGData) -> "SparkITPG":
+        """Load ``data``; kind and label are joined onto the ``exist`` and
+        ``props`` rows in pandas, so loading launches no join."""
         obj_schema = "id string, kind string, label string, src string, tgt string"
-        ex_schema = "id string, s long, e long"
-        pr_schema = "id string, p string, v string, s long, e long"
+        ex_schema = "id string, kind string, label string, s long, e long"
+        pr_schema = "id string, kind string, label string, p string, v string, s long, e long"
+        kl = data.objects[["id", "kind", "label"]]
+
+        def labelled(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
+            out = df[cols].merge(kl, on="id", how="left")
+            return out[["id", "kind", "label", *cols[1:]]]
+
         objects = spark.createDataFrame(data.objects[OBJECT_COLS], schema=obj_schema)
-        exist = spark.createDataFrame(data.exist[EXIST_COLS], schema=ex_schema)
-        props = spark.createDataFrame(data.props[PROP_COLS], schema=pr_schema)
+        exist = spark.createDataFrame(labelled(data.exist, EXIST_COLS), schema=ex_schema)
+        props = spark.createDataFrame(labelled(data.props, PROP_COLS), schema=pr_schema)
         g = SparkITPG(data.omega, objects.cache(), exist.cache(), props.cache())
         g.objects.count(), g.exist.count(), g.props.count()
         return g
@@ -254,7 +269,7 @@ class SparkTPG:
 
 def merge_data(omega: tuple[int, int], parts: list[ITPGData]) -> ITPGData:
     """Union several ITPGData fragments (disjoint object ids) into one."""
-    g = ITPGData(
+    return ITPGData(
         omega=omega,
         objects=pd.concat([p.objects for p in parts], ignore_index=True)
         if parts
@@ -266,5 +281,3 @@ def merge_data(omega: tuple[int, int], parts: list[ITPGData]) -> ITPGData:
         if parts
         else _empty(PROP_COLS),
     )
-    g.validate()
-    return g

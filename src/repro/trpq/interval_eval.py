@@ -157,11 +157,7 @@ class IntervalEvaluator:
     def __init__(self, g: SparkITPG):
         self.g = g
         self._tmemo: dict[ast.Test, DataFrame] = {}
-        self.edges = (
-            g.objects.filter(F.col("kind") == "edge")
-            .select("id", "src", "tgt")
-            .cache()
-        )
+        self.edges = g.objects.filter(F.col("kind") == "edge").select("id", "src", "tgt")
 
     # -------------------------------------------------------- test tables
     def test_table(self, test: ast.Test) -> DataFrame:
@@ -174,7 +170,6 @@ class IntervalEvaluator:
             return self._tmemo[test]
         conjuncts = ast.simple_conjuncts(test)
         out = self._scan(conjuncts) if conjuncts is not None else self._general(test)
-        out = out.cache()
         self._tmemo[test] = out
         return out
 
@@ -182,11 +177,13 @@ class IntervalEvaluator:
         """One selection over the graph relations for a conjunction of
         kind, label, property, ``∃`` and time tests (Sec VI Step 1).
 
-        The base is the existence relation when ``∃`` is a conjunct, else
-        the first property's valued intervals, else every object over Ω;
-        kind and label filter the objects (a semi-join unless the base is
-        the objects themselves), ``<k`` and ``¬<k`` clamp ``[s, e]``, and
-        every other property intersects the intervals."""
+        The base is the first property's valued intervals when a property
+        is a conjunct, else the existence relation when ``∃`` is one, else
+        every object over Ω. Its rows carry kind and label, which are
+        filters on it; ``∃`` needs no join next to a property, since a
+        validated graph defines σ only where ξ holds. ``<k`` and ``¬<k``
+        clamp ``[s, e]``, and every further property intersects the
+        intervals."""
         g = self.g
         lo, hi = g.omega
         conds = []
@@ -201,31 +198,31 @@ class IntervalEvaluator:
             elif isinstance(c, ast.ExistsTest):
                 exists = True
             elif isinstance(c, ast.PropTest):
-                props.append(
-                    g.props.filter((F.col("p") == c.prop) & (F.col("v") == c.value))
-                    .select("id", "s", "e")
-                )
+                props.append((F.col("p") == c.prop) & (F.col("v") == c.value))
             elif isinstance(c, ast.LtTest):
                 e_hi = min(e_hi, c.k - 1)
             else:  # ¬<k
                 s_lo = max(s_lo, c.inner.k)
-        objs = g.objects.filter(reduce(lambda a, b: a & b, conds)) if conds else g.objects
-        if exists or props:
-            out = g.exist.select("id", "s", "e") if exists else props.pop(0)
-            if conds:
-                out = out.join(objs.select("id"), "id", "left_semi")
+        if props:
+            base = g.props
+            conds.append(props.pop(0))
+        elif exists:
+            base = g.exist
         else:
-            out = objs.select(
-                "id", F.lit(lo).cast("long").alias("s"), F.lit(hi).cast("long").alias("e")
+            base = g.objects.withColumns(
+                {"s": F.lit(lo).cast("long"), "e": F.lit(hi).cast("long")}
             )
+        if conds:
+            base = base.filter(reduce(lambda a, b: a & b, conds))
+        out = base.select("id", "s", "e")
         if s_lo > lo or e_hi < hi:
             out = out.select(
                 "id",
                 F.greatest("s", F.lit(s_lo).cast("long")).alias("s"),
                 F.least("e", F.lit(e_hi).cast("long")).alias("e"),
             ).filter(F.col("s") <= F.col("e"))
-        for pt in props:
-            out = intersect_intervals(out, pt, ["id"])
+        for cond in props:
+            out = intersect_intervals(out, g.props.filter(cond).select("id", "s", "e"), ["id"])
         return out
 
     def _general(self, test: ast.Test) -> DataFrame:

@@ -30,7 +30,8 @@ from .semantics import LocalTPG, eval_path
 from .spark_eval import PointEvaluator
 
 _RESERVED = {
-    *COLS, "s", "e", "t", "t1", "t2", "_cur", "_m", "_lo", "_hi", *("_r" + c for c in COLS)
+    *COLS, "s", "e", "t", "t1", "t2", "_m", "_lo", "_hi", *("_r" + c for c in COLS),
+    "_cur", "_curt", "_nxt", "_nxtt",  # eval_match_point's chain columns
 }
 
 

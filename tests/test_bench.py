@@ -85,6 +85,16 @@ class TestJobsCli:
         assert proc.returncode == 0, proc.stderr
         assert "G1" in proc.stdout
 
+    def test_table2_help_lists_json(self):
+        proc = subprocess.run(
+            [sys.executable, str(JOBS / "table2.py"), "--help"],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0
+        assert "--json PATH" in proc.stdout
+
     def test_run_query_help(self):
         proc = subprocess.run(
             [sys.executable, str(JOBS / "run_query.py"), "--help"],

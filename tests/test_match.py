@@ -44,6 +44,12 @@ class TestSegmentation:
         with pytest.raises(ValueError, match="reserved"):
             segment_asts(parse_match("MATCH (s:Person) ON g"))
 
+    @pytest.mark.parametrize("var", ["_curt", "_nxt", "_nxtt"])
+    def test_point_chain_columns_reserved(self, var):
+        q = parse_match(f"MATCH (x:Person)-[:meets]->({var}:Person)-[:visits]->(r:Room) ON g")
+        with pytest.raises(ValueError, match="reserved"):
+            segment_asts(q)
+
     def test_duplicate_var_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             segment_asts(parse_match("MATCH (x)-/PREV/-(x) ON g"))

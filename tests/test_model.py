@@ -1,4 +1,6 @@
 """Tests for the TPG/ITPG model (Definitions III.1 and A.1)."""
+import dataclasses
+
 import pandas as pd
 import pytest
 
@@ -67,6 +69,18 @@ class TestBuildValidate:
         g = ITPGData.build((1, 3), [], [])
         assert g.stats() == {"nodes": 0, "edges": 0, "temp_nodes": 0, "temp_edges": 0}
 
+    def test_direct_construction_validated(self):
+        # a:risk stretched to [1, 8] while a exists on [1, 5] only
+        g = tiny()
+        props = g.props.assign(e=g.props["e"] + 3)
+        with pytest.raises(ValueError, match="absent"):
+            ITPGData(g.omega, g.objects, g.exist, props)
+
+    def test_frozen(self):
+        g = tiny()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.props = g.props.iloc[:0]
+
 
 class TestStats:
     def test_states_split_at_prop_changes(self):
@@ -130,6 +144,12 @@ class TestSparkRepresentations:
         assert fig1_itpg.objects.count() == len(fig1_data.objects)
         assert fig1_itpg.exist.count() == len(fig1_data.exist)
         assert fig1_itpg.props.count() == len(fig1_data.props)
+
+    def test_interval_rows_carry_kind_and_label(self, fig1_data, fig1_itpg):
+        kl = {r.id: (r.kind, r.label) for r in fig1_data.objects.itertuples()}
+        for df in (fig1_itpg.exist, fig1_itpg.props):
+            for r in df.collect():
+                assert (r["kind"], r["label"]) == kl[r["id"]]
 
     def test_point_explosion_matches_interval_lengths(self, fig1_data, fig1_tpg):
         n_points = sum(int(e) - int(s) + 1 for s, e in zip(fig1_data.exist["s"], fig1_data.exist["e"]))

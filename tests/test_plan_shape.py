@@ -1,14 +1,16 @@
 """Plan-shape gate: Spark jobs and executed-plan joins/exchanges of every
 Table II query on the interval backend, and Spark jobs of Q2, Q6 and Q7 on
 the point backend, each bounded by the figure the current evaluator
-reaches, next to the exact output size of each query. A plan change that adds a job, a join or an exchange fails here;
-one that removes some should lower the bound.
+reaches, next to the exact output size of each query. A plan change that
+adds a job, a join or an exchange fails here; one that removes some should
+lower the bound. A pattern test alone is one selection over a loaded
+relation, with no join and no exchange.
 
 Every query runs from a cleared cache and a fresh load, as a benchmark
-pass does: Spark's cache manager would otherwise serve test tables cached
-by an earlier evaluator and make the counts depend on query order. The
-graph gives every query a non-empty answer, because adaptive execution
-skips work on empty relations and launches fewer jobs for them.
+pass does, so that no query is served tables another query cached (the
+loaded graph relations are the only cached tables; test tables are not
+cached). The graph gives every query a non-empty answer, because adaptive
+execution skips work on empty relations and launches fewer jobs for them.
 """
 import time
 import uuid
@@ -19,7 +21,7 @@ from repro.tpg.generator import contact_tracing
 from repro.tpg.model import SparkITPG
 from repro.trpq import queries as Q
 from repro.trpq.interval_eval import IntervalEvaluator
-from repro.trpq.match import eval_match_interval, eval_match_point
+from repro.trpq.match import eval_match_interval, eval_match_point, segment_asts
 from repro.trpq.spark_eval import PointEvaluator
 
 # (output size, Spark jobs, executed-plan joins, executed-plan exchanges) per
@@ -28,18 +30,18 @@ from repro.trpq.spark_eval import PointEvaluator
 # figures. The output is exact: coalesced rows for Q1–Q5, bag counts (one
 # row per witness pair) for Q6–Q12.
 BOUNDS = {
-    "Q1": (56, 8, 1, 2),
-    "Q2": (42, 9, 2, 3),
-    "Q3": (2, 9, 2, 3),
-    "Q4": (10, 9, 2, 3),
-    "Q5": (1, 24, 9, 16),
-    "Q6": (38, 13, 5, 8),
-    "Q7": (17, 26, 11, 20),
-    "Q8": (66, 24, 9, 16),
-    "Q9": (11, 28, 13, 22),
-    "Q10": (7, 28, 13, 22),
-    "Q11": (15, 39, 22, 36),
-    "Q12": (26, 48, 29, 48),
+    "Q1": (56, 6, 0, 0),
+    "Q2": (42, 6, 0, 0),
+    "Q3": (2, 6, 0, 0),
+    "Q4": (10, 6, 0, 0),
+    "Q5": (1, 14, 4, 8),
+    "Q6": (38, 8, 2, 3),
+    "Q7": (17, 16, 6, 11),
+    "Q8": (66, 14, 5, 9),
+    "Q9": (11, 19, 8, 14),
+    "Q10": (7, 19, 8, 14),
+    "Q11": (15, 31, 16, 26),
+    "Q12": (26, 41, 22, 36),
 }
 
 # (output size, Spark jobs) per query on the point backend (Theorem C.1
@@ -149,3 +151,14 @@ def test_point_plan_shape_bounded(spark, gate_data, name):
     output, max_jobs = POINT_BOUNDS[name]
     assert out == output
     assert jobs <= max_jobs
+
+
+def test_pattern_test_is_one_selection(spark, gate_data):
+    """Q2's pattern ``Node ∧ Person ∧ risk↦low ∧ ∃`` reads one relation:
+    no join, no exchange."""
+    spark.catalog.clearCache()
+    ev = IntervalEvaluator(SparkITPG.from_data(spark, gate_data))
+    (seg,) = segment_asts(Q.query("Q2"))
+    tt = ev.test_table(seg.test)
+    assert tt.count() > 0
+    assert plan_ops(tt) == (0, 0)
