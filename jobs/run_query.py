@@ -1,7 +1,8 @@
 """Run any named query (Q1–Q12, INTRO, Q7R) or an ad-hoc MATCH clause on a
 G-lite graph or the Figure 1 example, printing the number of result rows,
 the Spark jobs that evaluating and counting the query launched (loading
-the graph not included), and the binding table.
+the graph not included), the joins and exchanges of the binding table's
+executed plan, and the binding table.
 
 Usage::
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 
 from _session import get_spark
+from repro.probe import counted_jobs, plan_ops
 from repro.tpg.figure1 import figure1
 from repro.tpg.generator import g_lite
 from repro.tpg.model import SparkITPG
@@ -37,15 +39,21 @@ def main() -> None:
     spark = get_spark("run_query")
     itpg = SparkITPG.from_data(spark, data)
     tpg = itpg.to_tpg() if args.backend == "point" else None
-    scheduler = spark.sparkContext._jsc.sc().dagScheduler()
-    jobs0 = scheduler.numTotalJobs()
-    if args.backend == "interval":
-        out = eval_match_interval(IntervalEvaluator(itpg), q).points()
-    else:
-        out = eval_match_point(PointEvaluator(tpg), q)
-    out = out.select(*out_columns(q))
-    print(f"rows: {out.count()}")
-    print(f"jobs: {scheduler.numTotalJobs() - jobs0}")
+
+    def evaluate():
+        if args.backend == "interval":
+            out = eval_match_interval(IntervalEvaluator(itpg), q).points()
+        else:
+            out = eval_match_point(PointEvaluator(tpg), q)
+        out = out.select(*out_columns(q))
+        return out, out.count()
+
+    (out, rows), jobs = counted_jobs(spark, "run_query", evaluate)
+    joins, exchanges = plan_ops(out)
+    print(f"rows: {rows}")
+    print(f"jobs: {jobs}")
+    print(f"joins: {joins}")
+    print(f"exchanges: {exchanges}")
     out.orderBy(*out_columns(q)).show(args.limit, truncate=False)
     spark.stop()
 

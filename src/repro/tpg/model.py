@@ -205,26 +205,29 @@ class ITPGData:
 @dataclass
 class SparkITPG:
     """Interval-timestamped TPG as Spark DataFrames (cached): the paper's
-    Nodes/Edges interval relations, whose rows carry the object's kind and
-    label, so a pattern test is one selection over one of them."""
+    Nodes/Edges interval relations, whose rows carry the object's kind,
+    label and, for an edge, its endpoints ``src``/``tgt`` (NULL on a node),
+    so a pattern test is one selection over one of them and an edge hop
+    reads its endpoints from the same rows."""
 
     omega: tuple[int, int]
     objects: DataFrame  # id, kind, label, src, tgt
-    exist: DataFrame  # id, kind, label, s, e
-    props: DataFrame  # id, kind, label, p, v, s, e
+    exist: DataFrame  # id, kind, label, src, tgt, s, e
+    props: DataFrame  # id, kind, label, src, tgt, p, v, s, e
 
     @staticmethod
     def from_data(spark: SparkSession, data: ITPGData) -> "SparkITPG":
-        """Load ``data``; kind and label are joined onto the ``exist`` and
-        ``props`` rows in pandas, so loading launches no join."""
+        """Load ``data``; kind, label, src and tgt are joined onto the
+        ``exist`` and ``props`` rows in pandas, so loading launches no
+        join."""
         obj_schema = "id string, kind string, label string, src string, tgt string"
-        ex_schema = "id string, kind string, label string, s long, e long"
-        pr_schema = "id string, kind string, label string, p string, v string, s long, e long"
-        kl = data.objects[["id", "kind", "label"]]
+        ex_schema = f"{obj_schema}, s long, e long"
+        pr_schema = f"{obj_schema}, p string, v string, s long, e long"
+        kl = data.objects[OBJECT_COLS]
 
         def labelled(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
             out = df[cols].merge(kl, on="id", how="left")
-            return out[["id", "kind", "label", *cols[1:]]]
+            return out[[*OBJECT_COLS, *cols[1:]]]
 
         objects = spark.createDataFrame(data.objects[OBJECT_COLS], schema=obj_schema)
         exist = spark.createDataFrame(labelled(data.exist, EXIST_COLS), schema=ex_schema)

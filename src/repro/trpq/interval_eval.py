@@ -25,14 +25,18 @@ Every interval relation has the columns ``(o1, o2, s1, e1, s2, e2, dmin,
 dmax)``: the path holds from ``(o1, t1)`` to ``(o2, t2)`` for every
 ``t1 ∈ [s1, e1]``, ``t2 ∈ [s2, e2]`` with ``t2 − t1 ∈ [dmin, dmax]``
 (``NULL`` bounds mean ∓∞). A structural relation is the case
-``dmin = dmax = 0``, ``[s1, e1] = [s2, e2]``. Tests, temporal blocks and the
-MATCH chain join all extend a relation by :func:`compose`, which is exact
-whenever one of its two sides has ``dmin = dmax = 0``; at most one temporal
-segment per branch (and one temporal link per chain) guarantees that.
+``dmin = dmax = 0``, ``[s1, e1] = [s2, e2]``. :meth:`IntervalEvaluator.walk`
+evaluates a sequence of steps left-deep on one relation, and the steps
+extend it by :func:`compose`, which is exact whenever one of its two sides
+has ``dmin = dmax = 0``; at most one temporal segment per branch (and so
+per MATCH chain) guarantees that. The walk knows the kind of the objects
+at ``o2`` when a test fixes it (``F``/``B`` flip it), and from nodes it
+traverses ``F / T / F`` (or ``B / T / B``) as one composition with the
+edges where ``T`` holds, from one end to the other.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Optional
 
@@ -53,19 +57,49 @@ COLS = ["o1", "o2", "s1", "e1", "s2", "e2", "dmin", "dmax"]
 
 @dataclass
 class LinkRel:
-    """An evaluated path link: an interval relation (columns :data:`COLS`)
-    and whether a temporal step produced it."""
+    """An evaluated path: an interval relation (columns :data:`COLS`, plus
+    one column per captured variable), whether a temporal step produced
+    it, the kind of the objects at its ``o2`` end (``"node"``, ``"edge"``
+    or None when unknown) and the variables captured after its temporal
+    step, which are bound at ``t2``."""
 
     df: DataFrame
     temporal: bool
+    kind: Optional[str] = None
+    post: tuple[str, ...] = ()
 
 
-def diagonal(tt: DataFrame) -> DataFrame:
+@dataclass(frozen=True)
+class Capture:
+    """A walk step that binds a MATCH variable to the objects at ``o2``."""
+
+    var: str
+
+
+_KINDS = {ast.NodeTest: "node", ast.EdgeTest: "edge"}
+_FLIPPED = {"node": "edge", "edge": "node", None: None}
+
+
+def _test_kind(test: ast.Test) -> Optional[str]:
+    """The kind a ``Node``/``Edge`` conjunct of ``test`` fixes, else None."""
+    if isinstance(test, ast.AndTest):
+        return _test_kind(test.left) or _test_kind(test.right)
+    return _KINDS.get(type(test))
+
+
+def _bound(state: LinkRel, var: Optional[str]) -> LinkRel:
+    """``state`` with ``var``, just captured, recorded as bound at ``t2``
+    when the capture follows the temporal step."""
+    return replace(state, post=state.post + (var,)) if var and state.temporal else state
+
+
+def diagonal(tt: DataFrame, *keys: str | Column) -> DataFrame:
     """The block of a test table ``(id, s, e)``: ``(o, t)`` to ``(o, t)``
-    for every ``t ∈ [s, e]``."""
+    for every ``t ∈ [s, e]``, with the columns ``keys`` (default ``id``)
+    in front of ``s1 .. dmax``."""
     zero = F.lit(0).cast("long")
     return tt.select(
-        "id",
+        *(keys or ["id"]),
         F.col("s").alias("s1"), F.col("e").alias("e1"),
         F.col("s").alias("s2"), F.col("e").alias("e2"),
         zero.alias("dmin"), zero.alias("dmax"),
@@ -83,17 +117,20 @@ def compose(left: DataFrame, right: DataFrame | dict[str, Column]) -> DataFrame:
     ``X = [s2, e2]ₗ ∩ [s1, e1]ᵣ`` a row keeps ``t1 ∈ [s1, e1]ₗ ∩ (X − Dₗ)``,
     ``t2 ∈ [s2, e2]ᵣ ∩ (X + Dᵣ)`` and ``D = Dₗ + Dᵣ``; rows with an empty
     ``X`` or an empty side are dropped. The result is exact when ``Dₗ = 0``
-    or ``Dᵣ = 0``. Columns of ``left`` beyond :data:`COLS` are carried
-    through."""
+    or ``Dᵣ = 0``. Columns of either side beyond :data:`COLS` (and the
+    key) are carried through."""
     if isinstance(right, dict):
-        met, moves = left.withColumns({"_r" + c: v for c, v in right.items()}), False
+        met = left.withColumns({"_r" + c: v for c, v in right.items()})
+        moves, rextra = False, []
     else:
         moves = "o1" in right.columns
         key = "o1" if moves else "id"
+        rextra = [c for c in right.columns if c not in COLS and c != key]
         met = left.join(
             right.select(
                 F.col(key).alias("o2"),
-                *(F.col(c).alias("_r" + c) for c in right.columns if c != key),
+                *(F.col(c).alias("_r" + c) for c in COLS if c in right.columns and c != key),
+                *rextra,
             ),
             "o2",
         )
@@ -105,7 +142,7 @@ def compose(left: DataFrame, right: DataFrame | dict[str, Column]) -> DataFrame:
     e1 = F.least(F.col("e1"), xe - F.col("dmin"))
     s2 = F.greatest(F.col("_rs2"), xs + F.col("_rdmin"))
     e2 = F.least(F.col("_re2"), xe + F.col("_rdmax"))
-    extra = [c for c in left.columns if c not in COLS]
+    extra = [c for c in left.columns if c not in COLS] + rextra
     # filter on the input columns, before the select replaces them
     return met.filter((xs <= xe) & (s1 <= e1) & (s2 <= e2)).select(
         *extra, "o1", F.col(o2).alias("o2"),
@@ -166,24 +203,25 @@ class IntervalEvaluator:
 
         A test whose flattened conjuncts are all simple compiles into one
         scan (:meth:`_scan`); anything else is built from its parts."""
-        if test in self._tmemo:
-            return self._tmemo[test]
-        conjuncts = ast.simple_conjuncts(test)
-        out = self._scan(conjuncts) if conjuncts is not None else self._general(test)
-        self._tmemo[test] = out
-        return out
+        if test not in self._tmemo:
+            conjuncts = ast.simple_conjuncts(test)
+            self._tmemo[test] = (
+                self._scan(conjuncts) if conjuncts is not None else self._general(test)
+            )
+        return self._tmemo[test].select("id", "s", "e")
 
     def _scan(self, conjuncts: list[ast.Test]) -> DataFrame:
         """One selection over the graph relations for a conjunction of
-        kind, label, property, ``∃`` and time tests (Sec VI Step 1).
+        kind, label, property, ``∃`` and time tests (Sec VI Step 1), as
+        ``(id, src, tgt, s, e)``.
 
         The base is the first property's valued intervals when a property
         is a conjunct, else the existence relation when ``∃`` is one, else
-        every object over Ω. Its rows carry kind and label, which are
-        filters on it; ``∃`` needs no join next to a property, since a
-        validated graph defines σ only where ξ holds. ``<k`` and ``¬<k``
-        clamp ``[s, e]``, and every further property intersects the
-        intervals."""
+        every object over Ω. Its rows carry kind, label and an edge's
+        endpoints; kind and label are filters on it; ``∃`` needs no join
+        next to a property, since a validated graph defines σ only where ξ
+        holds. ``<k`` and ``¬<k`` clamp ``[s, e]``, and every further
+        property intersects the intervals."""
         g = self.g
         lo, hi = g.omega
         conds = []
@@ -214,10 +252,10 @@ class IntervalEvaluator:
             )
         if conds:
             base = base.filter(reduce(lambda a, b: a & b, conds))
-        out = base.select("id", "s", "e")
+        out = base.select("id", "src", "tgt", "s", "e")
         if s_lo > lo or e_hi < hi:
             out = out.select(
-                "id",
+                "id", "src", "tgt",
                 F.greatest("s", F.lit(s_lo).cast("long")).alias("s"),
                 F.least("e", F.lit(e_hi).cast("long")).alias("e"),
             ).filter(F.col("s") <= F.col("e"))
@@ -244,24 +282,71 @@ class IntervalEvaluator:
             )
         raise TypeError(f"unknown test {test!r}")
 
-    # ------------------------------------------------------------- links
+    # ------------------------------------------------------------- walks
     def eval_link(self, path: ast.Path) -> LinkRel:
-        """Evaluate a path link (Steps 1 and 2) to an interval relation.
+        """Evaluate a path link (Steps 1 and 2) to an interval relation:
+        the :meth:`walk` of its parts."""
+        return self.walk(list(path.parts) if isinstance(path, ast.Seq) else [path])
 
-        It starts from the diagonal of its leading test (all MATCH segments
-        have one), or of every object over Ω."""
-        parts = list(path.parts) if isinstance(path, ast.Seq) else [path]
-        if parts and isinstance(parts[0], ast.TestExpr):
-            seed = self.test_table(parts.pop(0).test)
+    def walk(self, steps: list[ast.Path | Capture]) -> LinkRel:
+        """Evaluate a sequence of path parts and captures left-deep on one
+        relation (Steps 1 and 2).
+
+        It starts from the diagonal of its leading test (a MATCH chain
+        starts with its first pattern's), or of every object over Ω."""
+        if steps and isinstance(steps[0], ast.TestExpr):
+            test, steps = steps[0].test, steps[1:]
+            seed, kind = self.test_table(test), _test_kind(test)
         else:
-            seed = self.g.objects.select(
-                "id", *(F.lit(t).cast("long").alias(c) for t, c in zip(self.g.omega, "se"))
-            )
-        df = diagonal(seed).select(F.col("id").alias("o1"), F.col("id").alias("o2"), *COLS[2:])
-        state = LinkRel(df, temporal=False)
-        for part in parts:
-            state = self._apply(state, part)
+            lo, hi = (F.lit(t).cast("long") for t in self.g.omega)
+            seed, kind = self.g.objects.select("id", lo.alias("s"), hi.alias("e")), None
+        df = diagonal(seed, F.col("id").alias("o1"), F.col("id").alias("o2"))
+        return self._seq(LinkRel(df, temporal=False, kind=kind), steps)
+
+    def _seq(self, state: LinkRel, steps: list[ast.Path | Capture]) -> LinkRel:
+        i = 0
+        while i < len(steps):
+            hop = self._edge_hop(state, steps[i:i + 4])
+            if hop is not None:
+                rel, var = hop
+                state = _bound(replace(state, df=compose(state.df, rel)), var)
+                i += 4 if var else 3
+            elif isinstance(steps[i], Capture):
+                var = steps[i].var
+                state = _bound(replace(state, df=state.df.withColumn(var, F.col("o2"))), var)
+                i += 1
+            else:
+                state = self._apply(state, steps[i])
+                i += 1
         return state
+
+    def _edge_hop(
+        self, state: LinkRel, steps: list[ast.Path | Capture]
+    ) -> Optional[tuple[DataFrame, Optional[str]]]:
+        """``F / T / F`` (or ``B / T / B``, optionally with a capture of
+        the edge after ``T``) at the head of ``steps`` from a state at
+        nodes, as one relation from each edge's one end to its other end
+        over the intervals where ``T`` holds: (that relation, the captured
+        variable or None); else None. The relation carries a captured edge
+        as a column of the variable's name."""
+        if state.kind != "node" or len(steps) < 3:
+            return None
+        op, test = steps[0], steps[1]
+        if op not in (ast.F, ast.B) or not isinstance(test, ast.TestExpr):
+            return None
+        var = steps[2].var if isinstance(steps[2], Capture) else None
+        end = 3 if var else 2
+        if len(steps) <= end or steps[end] != op:
+            return None
+        self.test_table(test.test)
+        ends = self._tmemo[test.test]
+        if "src" not in ends.columns:
+            ends = ends.join(self.edges, "id")
+        a, b = ("src", "tgt") if op == ast.F else ("tgt", "src")
+        keys = [F.col(a).alias("o1"), F.col(b).alias("o2")]
+        if var:
+            keys.append(F.col("id").alias(var))
+        return diagonal(ends, *keys), var
 
     # ------------------------------------------------------------ apply
     def _apply(self, state: LinkRel, part: ast.Path) -> LinkRel:
@@ -275,13 +360,16 @@ class IntervalEvaluator:
         if isinstance(part, ast.TestExpr):
             return self._apply_test(state, part.test)
         if isinstance(part, ast.Seq):
-            for p in part.parts:
-                state = self._apply(state, p)
-            return state
+            return self._seq(state, list(part.parts))
         if isinstance(part, ast.Union):
             branches = [self._apply(state, p) for p in part.parts]
-            df = reduce(DataFrame.unionByName, [b.df for b in branches])
-            return LinkRel(df, any(b.temporal for b in branches))
+            kinds = {b.kind for b in branches}
+            return replace(
+                state,
+                df=reduce(DataFrame.unionByName, [b.df for b in branches]),
+                temporal=any(b.temporal for b in branches),
+                kind=kinds.pop() if len(kinds) == 1 else None,
+            )
         if isinstance(part, ast.Repeat):
             if part.lo == 0 and part.hi == 0:
                 return state
@@ -292,7 +380,7 @@ class IntervalEvaluator:
 
     def _apply_test(self, state: LinkRel, test: ast.Test) -> LinkRel:
         df = compose(state.df, diagonal(self.test_table(test)))
-        return LinkRel(df, state.temporal)
+        return replace(state, df=df, kind=_test_kind(test) or state.kind)
 
     def _apply_move(self, state: LinkRel, op: str) -> LinkRel:
         """Structural step F/B: node→edge and edge→node joins; intervals
@@ -304,12 +392,8 @@ class IntervalEvaluator:
             n2e = self.edges.select(F.col("tgt").alias("o2"), F.col("id").alias("_new"))
             e2n = self.edges.select(F.col("id").alias("o2"), F.col("src").alias("_new"))
         hop = n2e.unionByName(e2n)
-        df = (
-            state.df.join(hop, "o2")
-            .drop("o2")
-            .withColumnRenamed("_new", "o2")
-        )
-        return LinkRel(df.select(*COLS), state.temporal)
+        df = state.df.join(hop, "o2").drop("o2").withColumnRenamed("_new", "o2")
+        return replace(state, df=df, kind=_FLIPPED[state.kind])
 
     def _apply_temporal(self, state: LinkRel, atom: _TemporalAtom) -> LinkRel:
         """Step 2: compose with the block's own relation. ``N`` steps
@@ -336,4 +420,4 @@ class IntervalEvaluator:
             if atom.require_exist:
                 block = self.g.exist.select("id", *(v.alias(c) for c, v in block.items()))
             parts.append(compose(state.df, block))
-        return LinkRel(reduce(DataFrame.unionByName, parts), temporal=True)
+        return replace(state, df=reduce(DataFrame.unionByName, parts), temporal=True)

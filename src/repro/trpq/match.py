@@ -1,16 +1,19 @@
-"""MATCH-clause evaluation: from per-link path relations to binding tables.
+"""MATCH-clause evaluation: from a parsed chain to binding tables.
 
-A parsed MATCH clause is a chain ``pattern - link - pattern - ...``; each
-link (together with its endpoint pattern tests) is one NavL[PC,NOI]
-expression. The binding table of the clause (the paper's tables with
-columns ``x, x_time, y, y_time, ...``) is the join of the per-link
-relations on the shared chain positions.
+A parsed MATCH clause is a chain ``pattern - link - pattern - ...``. The
+binding table of the clause (the paper's tables with columns
+``x, x_time, y, y_time, ...``) holds the chain positions of its named
+patterns.
 
 Three backends share this logic:
 
-* :func:`eval_match_point`   — Spark point evaluator (full language);
-* :func:`eval_match_local`   — pure-Python reference semantics (oracle);
-* :func:`eval_match_interval`— Section VI interval evaluator; returns an
+* :func:`eval_match_point`   — Spark point evaluator (full language); it
+  joins one relation per link, ``test_i / link_i / test_{i+1}``, on the
+  shared chain positions;
+* :func:`eval_match_local`   — pure-Python reference semantics (oracle),
+  the same per-link join;
+* :func:`eval_match_interval`— Section VI interval evaluator; it walks the
+  whole chain once, left-deep (:func:`chain_steps`), and returns an
   :class:`IntervalBindings` that separates Steps 1–2 (interval relation)
   from Step 3 (``points()`` expansion), so benchmarks can time them the
   way Table II reports them.
@@ -24,40 +27,55 @@ from pyspark.sql import functions as F
 
 from ..tpg.sparkutil import coalesce_intervals, explode_points
 from . import ast
-from .interval_eval import COLS, IntervalEvaluator, UnsupportedFragment, compose
+from .interval_eval import COLS, Capture, IntervalEvaluator, UnsupportedFragment
 from .parser import MatchQuery
 from .semantics import LocalTPG, eval_path
 from .spark_eval import PointEvaluator
 
 _RESERVED = {
     *COLS, "s", "e", "t", "t1", "t2", "_m", "_lo", "_hi", *("_r" + c for c in COLS),
+    "_new",  # IntervalEvaluator._apply_move's hop column
     "_cur", "_curt", "_nxt", "_nxtt",  # eval_match_point's chain columns
 }
 
 
-def segment_asts(q: MatchQuery, shared_once: bool = False) -> list[ast.Path]:
-    """One NavL expression per link: ``test_i / link_i / test_{i+1}``.
-
-    A clause with a single pattern yields the bare pattern test. With
-    ``shared_once`` every segment but the last leaves out its trailing
-    test, which the next segment starts with, so a chain join that
-    intersects the shared position's intervals tests each pattern once.
-    """
-    pats, links = q.patterns, q.links
+def _check_vars(q: MatchQuery) -> None:
     for v in q.vars:
         if v in _RESERVED:
             raise ValueError(f"variable name {v!r} is reserved")
     if len(q.vars) != len(set(q.vars)):
         raise ValueError("duplicate variable names are not supported")
+
+
+def segment_asts(q: MatchQuery) -> list[ast.Path]:
+    """One NavL expression per link: ``test_i / link_i / test_{i+1}``.
+
+    A clause with a single pattern yields the bare pattern test.
+    """
+    _check_vars(q)
+    pats, links = q.patterns, q.links
     if not links:
         return [ast.seq(ast.TestExpr(pats[0].test()))]
-    last = len(links) - 1
     return [
-        ast.seq(ast.TestExpr(pats[i].test()), links[i])
-        if shared_once and i < last
-        else ast.seq(ast.TestExpr(pats[i].test()), links[i], ast.TestExpr(pats[i + 1].test()))
+        ast.seq(ast.TestExpr(pats[i].test()), links[i], ast.TestExpr(pats[i + 1].test()))
         for i in range(len(links))
     ]
+
+
+def chain_steps(q: MatchQuery) -> list[ast.Path | Capture]:
+    """The chain as one walk: ``test_0, capture(v0), link_0, test_1,
+    capture(v1), …, test_n, capture(vn)``, with each link's parts inlined
+    and a capture only for a named pattern. Each pattern is tested once."""
+    _check_vars(q)
+    steps: list[ast.Path | Capture] = []
+    for i, pat in enumerate(q.patterns):
+        if i:
+            link = q.links[i - 1]
+            steps += link.parts if isinstance(link, ast.Seq) else [link]
+        steps.append(ast.TestExpr(pat.test()))
+        if pat.var:
+            steps.append(Capture(pat.var))
+    return steps
 
 
 def out_columns(q: MatchQuery) -> list[str]:
@@ -217,31 +235,15 @@ class IntervalBindings:
 def eval_match_interval(ev: IntervalEvaluator, q: MatchQuery) -> IntervalBindings:
     """Evaluate the chain on the interval backend (Steps 1–2 only).
 
-    Each pattern is tested once: a link relation ends untested at the
-    shared position, and :func:`~repro.trpq.interval_eval.compose` joins it
-    there with the next link, which starts from the pattern's test. A
-    pattern's variable is captured at its position before that join.
+    The chain is one :meth:`~repro.trpq.interval_eval.IntervalEvaluator.walk`
+    over :func:`chain_steps`, which captures each variable as ``o2`` at its
+    position: before the temporal step it is bound at ``t1``, after it at
+    ``t2``. A second temporal link raises :class:`UnsupportedFragment`.
     """
-    segs = segment_asts(q, shared_once=True)
-    pats = q.patterns
-    links = [ev.eval_link(s) for s in segs]
-    if sum(lr.temporal for lr in links) > 1:
-        raise UnsupportedFragment("more than one temporal link in a MATCH chain")
-    # patterns after the temporal link are bound at t2
-    split = next((i + 1 for i, lr in enumerate(links) if lr.temporal), len(pats))
-
-    def capture(df: DataFrame, idx: int, col: str) -> DataFrame:
-        v = pats[idx].var if idx < len(pats) else None
-        return df.withColumn(v, F.col(col)) if v else df
-
-    acc = capture(links[0].df, 0, "o1")
-    for i in range(1, len(links)):
-        acc = compose(capture(acc, i, "o2"), links[i].df)
-    acc = capture(acc, len(links), "o2")
-    named = [(j, p.var) for j, p in enumerate(pats) if p.var]
+    state = ev.walk(chain_steps(q))
     return IntervalBindings(
-        acc.select(*[v for _, v in named], *COLS[2:]),
-        [v for j, v in named if j < split],
-        [v for j, v in named if j >= split],
-        temporal=any(lr.temporal for lr in links),
+        state.df.select(*q.vars, *COLS[2:]),
+        [v for v in q.vars if v not in state.post],
+        list(state.post),
+        temporal=state.temporal,
     )

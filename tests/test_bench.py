@@ -106,6 +106,9 @@ class TestJobsCli:
         assert "fig1" in proc.stdout
 
     def test_run_query_prints_rows_and_jobs(self):
+        """Rows, jobs, and the joins and exchanges of the binding table's
+        plan; Q6 on the point backend joins its pattern scans with the
+        PREV step."""
         proc = subprocess.run(
             [sys.executable, str(JOBS / "run_query.py"), "Q6", "--graph", "fig1", "--backend", "point"],
             capture_output=True,
@@ -115,3 +118,19 @@ class TestJobsCli:
         assert proc.returncode == 0, proc.stderr
         assert re.search(r"^rows: 1$", proc.stdout, re.M), proc.stdout
         assert re.search(r"^jobs: [1-9][0-9]*$", proc.stdout, re.M), proc.stdout
+        assert re.search(r"^joins: [1-9][0-9]*$", proc.stdout, re.M), proc.stdout
+        assert re.search(r"^exchanges: [0-9]+$", proc.stdout, re.M), proc.stdout
+
+    def test_run_query_interval_plan_counters(self):
+        """Q5 on the interval backend: its edge hop and the test of its
+        second pattern are one join each."""
+        proc = subprocess.run(
+            [sys.executable, str(JOBS / "run_query.py"), "Q5", "--graph", "fig1"],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert re.search(r"^rows: 4$", proc.stdout, re.M), proc.stdout
+        assert re.search(r"^joins: 2$", proc.stdout, re.M), proc.stdout
+        assert re.search(r"^exchanges: [1-9][0-9]*$", proc.stdout, re.M), proc.stdout

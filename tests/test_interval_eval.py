@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.probe import plan_ops
 from repro.tpg import interval as iv
 from repro.trpq import ast
 from repro.trpq import queries as Q
@@ -75,6 +76,68 @@ def test_structural_link_before_temporal_link(clause, ev_fx, local_fx, request):
     assert got == eval_match_local(local, q)
 
 
+# edge hops: F / T / F and B / T / B from nodes are one composition with the
+# edges where T holds; every other hop takes the general F/B step
+EDGE_HOPS = [
+    # from an edge-kind state (after a lone FWD) the hop must not fuse
+    "MATCH (x:Person)-/FWD/FWD/:Person/FWD/FWD/-(y) ON g",
+    # B / T / B
+    "MATCH (x:Room)-/BWD/:visits/BWD/-(y:Person) ON g",
+    # mixed F / T / B: no fusion
+    "MATCH (x:Person)-/FWD/:visits/BWD/-(y:Person) ON g",
+    # named edge variables
+    Q.QUERIES["Q5"],
+    "MATCH (x:Person)-[z:meets]->(y:Person)-[w:visits]->(r:Room) ON g",
+    "MATCH (x:Person)-[z:meets]->(y:Person)-[w:meets]->(r:Person) ON g",
+    # a hop inside a union branch
+    Q.QUERIES["Q12"],
+    # hops after an unbounded temporal step, whose dmax is NULL
+    "MATCH (x:Person {test = 'pos'})-/PREV*/FWD/:visits/FWD/-(z:Room) ON g",
+    "MATCH (x:Person)-/NEXT[2,_]/FWD/:visits/FWD/-(z:Room) ON g",
+    "MATCH (x:Person)-/PREV[2,_]/-(y)-[z:meets]->(w) ON g",
+]
+
+
+@pytest.mark.parametrize("clause", EDGE_HOPS)
+@pytest.mark.parametrize(
+    "ev_fx, local_fx", [("fig1_interval_ev", "fig1_local"), ("rung_interval_ev", "rung_local")]
+)
+def test_edge_hops_match_reference(clause, ev_fx, local_fx, request):
+    ev, local = request.getfixturevalue(ev_fx), request.getfixturevalue(local_fx)
+    q = parse_match(clause)
+    got = {tuple(r) for r in eval_match_interval(ev, q).points().select(*out_columns(q)).collect()}
+    assert got == eval_match_local(local, q)
+
+
+class TestWalkKinds:
+    """The kind of a walk's ``o2`` end, which decides whether a hop fuses."""
+
+    @pytest.mark.parametrize(
+        "link, kind",
+        [
+            (ast.seq(ast.TestExpr(ast.NODE), ast.F), "edge"),
+            (ast.seq(ast.TestExpr(ast.conj(ast.EDGE, ast.EXISTS)), ast.B), "node"),
+            (ast.seq(ast.TestExpr(ast.NODE), ast.F, ast.LabelTest("meets"), ast.F), "node"),
+            (ast.seq(ast.TestExpr(ast.NODE), ast.Repeat(ast.seq(ast.N, ast.EXISTS), 0, None)), "node"),
+            (ast.seq(ast.TestExpr(ast.EXISTS), ast.F), None),
+            (ast.seq(ast.F, ast.LabelTest("meets"), ast.F), None),
+            (ast.seq(ast.TestExpr(ast.NODE), ast.union(ast.F, ast.seq(ast.F, ast.F, ast.F))), "edge"),
+            (ast.seq(ast.TestExpr(ast.NODE), ast.union(ast.F, ast.seq(ast.F, ast.F))), None),
+        ],
+    )
+    def test_kind(self, link, kind, fig1_interval_ev):
+        assert fig1_interval_ev.eval_link(link).kind == kind
+
+    def test_fused_hop_is_one_join(self, fig1_interval_ev):
+        """From nodes, F / meets / F is one join; from an unknown kind it
+        is three (F, the test, F)."""
+        hop = (ast.F, ast.TestExpr(ast.AndTest(ast.LabelTest("meets"), ast.EXISTS)), ast.F)
+        fused = fig1_interval_ev.eval_link(ast.seq(ast.TestExpr(ast.NODE), *hop))
+        general = fig1_interval_ev.eval_link(ast.seq(*hop))
+        assert plan_ops(fused.df)[0] == 1
+        assert plan_ops(general.df)[0] == 3
+
+
 class TestLinkRelations:
     """eval_link against the reference ⟦·⟧ (expanded to points)."""
 
@@ -95,6 +158,22 @@ class TestLinkRelations:
         ast.seq(ast.TestExpr(ast.NotTest(ast.EXISTS)), ast.N),
         ast.seq(ast.TestExpr(ast.AndTest(ast.NODE, ast.LtTest(5))), ast.Repeat(ast.N, 0, 3)),
         ast.seq(ast.TestExpr(ast.EXISTS), ast.Repeat(ast.P, 2, None)),
+        # hops that must not fuse: from edges, and from a test-free start
+        ast.seq(ast.TestExpr(ast.conj(ast.EDGE, ast.EXISTS)), ast.F, ast.EXISTS, ast.F),
+        ast.seq(ast.F, ast.AndTest(ast.LabelTest("meets"), ast.EXISTS), ast.F),
+        # fused hops: B / T / B, a non-simple T, and after NEXT[2,_]
+        ast.seq(ast.TestExpr(ast.NODE), ast.B, ast.AndTest(ast.LabelTest("visits"), ast.EXISTS), ast.B),
+        ast.seq(
+            ast.TestExpr(ast.NODE),
+            ast.F,
+            ast.OrTest(ast.LabelTest("meets"), ast.NotTest(ast.EXISTS)),
+            ast.F,
+        ),
+        ast.seq(
+            ast.TestExpr(ast.conj(ast.NODE, ast.EXISTS)),
+            ast.Repeat(ast.seq(ast.N, ast.EXISTS), 2, None),
+            ast.F, ast.AndTest(ast.LabelTest("visits"), ast.EXISTS), ast.F,
+        ),
     ]
 
     @pytest.mark.parametrize("idx", range(len(LINKS)))

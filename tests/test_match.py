@@ -3,7 +3,8 @@ import pytest
 
 from repro.trpq import ast
 from repro.trpq import queries as Q
-from repro.trpq.match import out_columns, segment_asts
+from repro.trpq.interval_eval import Capture
+from repro.trpq.match import chain_steps, out_columns, segment_asts
 from repro.trpq.parser import parse_match
 
 
@@ -30,19 +31,25 @@ class TestSegmentation:
     def test_q7_segments(self):
         assert len(segment_asts(Q.query("Q7"))) == 3
 
-    def test_shared_once_leaves_out_trailing_tests(self):
-        """Each pattern of the chain is tested once: every segment but the
-        last ends where the next one's leading test takes over."""
+    def test_chain_steps_test_each_pattern_once(self):
+        """The interval walk inlines every link between its patterns' tests
+        and captures each named pattern right after its test."""
         q = Q.query("Q7")
-        full, once = segment_asts(q), segment_asts(q, shared_once=True)
-        assert len(once) == len(full) == 3
-        assert once[-1] == full[-1]
-        for f, o in zip(full[:-1], once[:-1]):
-            assert o.parts == f.parts[:-1]
+        x, y, visits, z = (ast.TestExpr(p.test()) for p in q.patterns)
+        assert chain_steps(q) == [
+            x, Capture("x"), ast.P, ast.TestExpr(ast.EXISTS),
+            y, Capture("y"), ast.F, visits, ast.F, z, Capture("z"),
+        ]
+
+    def test_chain_steps_single_pattern(self):
+        q = parse_match("MATCH (x:Person) ON g")
+        assert chain_steps(q) == [ast.TestExpr(q.patterns[0].test()), Capture("x")]
 
     def test_reserved_var_rejected(self):
         with pytest.raises(ValueError, match="reserved"):
             segment_asts(parse_match("MATCH (s:Person) ON g"))
+        with pytest.raises(ValueError, match="reserved"):
+            chain_steps(parse_match("MATCH (_new:Person) ON g"))
 
     @pytest.mark.parametrize("var", ["_curt", "_nxt", "_nxtt"])
     def test_point_chain_columns_reserved(self, var):

@@ -151,6 +151,15 @@ class TestSparkRepresentations:
             for r in df.collect():
                 assert (r["kind"], r["label"]) == kl[r["id"]]
 
+    def test_interval_rows_carry_edge_ends(self, fig1_data, fig1_itpg):
+        ends = {
+            r.id: (r.src, r.tgt) if r.kind == "edge" else (None, None)
+            for r in fig1_data.objects.itertuples()
+        }
+        for df in (fig1_itpg.exist, fig1_itpg.props):
+            for r in df.collect():
+                assert (r["src"], r["tgt"]) == ends[r["id"]]
+
     def test_point_explosion_matches_interval_lengths(self, fig1_data, fig1_tpg):
         n_points = sum(int(e) - int(s) + 1 for s, e in zip(fig1_data.exist["s"], fig1_data.exist["e"]))
         assert fig1_tpg.exist.count() == n_points

@@ -12,16 +12,15 @@ loaded graph relations are the only cached tables; test tables are not
 cached). The graph gives every query a non-empty answer, because adaptive
 execution skips work on empty relations and launches fewer jobs for them.
 """
-import time
-import uuid
-
 import pytest
 
+from repro.probe import counted_jobs, plan_ops
 from repro.tpg.generator import contact_tracing
 from repro.tpg.model import SparkITPG
 from repro.trpq import queries as Q
 from repro.trpq.interval_eval import IntervalEvaluator
 from repro.trpq.match import eval_match_interval, eval_match_point, segment_asts
+from repro.trpq.parser import parse_match
 from repro.trpq.spark_eval import PointEvaluator
 
 # (output size, Spark jobs, executed-plan joins, executed-plan exchanges) per
@@ -34,14 +33,14 @@ BOUNDS = {
     "Q2": (42, 6, 0, 0),
     "Q3": (2, 6, 0, 0),
     "Q4": (10, 6, 0, 0),
-    "Q5": (1, 14, 4, 8),
+    "Q5": (1, 9, 2, 4),
     "Q6": (38, 8, 2, 3),
-    "Q7": (17, 16, 6, 11),
-    "Q8": (66, 14, 5, 9),
-    "Q9": (11, 19, 8, 14),
-    "Q10": (7, 19, 8, 14),
-    "Q11": (15, 31, 16, 26),
-    "Q12": (26, 41, 22, 36),
+    "Q7": (17, 11, 4, 6),
+    "Q8": (66, 11, 3, 6),
+    "Q9": (11, 13, 4, 8),
+    "Q10": (7, 13, 4, 8),
+    "Q11": (15, 19, 8, 14),
+    "Q12": (26, 23, 10, 18),
 }
 
 # (output size, Spark jobs) per query on the point backend (Theorem C.1
@@ -53,57 +52,6 @@ POINT_BOUNDS = {"Q2": (174, 6), "Q6": (38, 12), "Q7": (17, 48)}
 @pytest.fixture(scope="module")
 def gate_data():
     return contact_tracing(persons=20, positivity=0.3, seed=10)
-
-
-def plan_ops(df) -> tuple[int, int]:
-    """Join and exchange operators of ``df``'s executed plan, read before
-    adaptive re-optimisation and through cached relations, each operator
-    counted once."""
-    seen: set[int] = set()
-    joins = exchanges = 0
-    stack = [df._jdf.queryExecution().executedPlan()]
-    while stack:
-        p = stack.pop()
-        if int(p.id()) in seen:
-            continue
-        seen.add(int(p.id()))
-        cls = p.getClass().getSimpleName()
-        if "Join" in cls or cls == "CartesianProductExec":
-            joins += 1
-        elif "Exchange" in cls and not cls.startswith("Reused"):
-            exchanges += 1
-        kids = p.children()
-        stack += [kids.apply(i) for i in range(kids.size())]
-        if cls == "AdaptiveSparkPlanExec":
-            stack.append(p.initialPlan())
-        elif cls == "InMemoryTableScanExec":
-            stack.append(p.relation().cachedPlan())
-    return joins, exchanges
-
-
-def counted_jobs(spark, label: str, action) -> tuple[object, int]:
-    """Run ``action()`` under a fresh job group: (its result, the Spark jobs
-    it launched), counted by the status tracker and checked against the
-    scheduler's count."""
-    sc = spark.sparkContext
-    scheduler = sc._jsc.sc().dagScheduler()
-    group = f"plan-shape-{label}-{uuid.uuid4().hex}"
-    jobs0 = scheduler.numTotalJobs()
-    sc.setJobGroup(group, group)
-    try:
-        result = action()
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-        sc.setLocalProperty("spark.job.description", None)
-    submitted = scheduler.numTotalJobs() - jobs0
-    # the status listener runs asynchronously; wait until it saw every job
-    tracker = sc.statusTracker()
-    deadline = time.monotonic() + 30
-    while len(tracker.getJobIdsForGroup(group)) < submitted and time.monotonic() < deadline:
-        time.sleep(0.05)
-    jobs = len(tracker.getJobIdsForGroup(group))
-    assert jobs == submitted
-    return result, jobs
 
 
 def run_query(spark, data, name: str) -> tuple[int, int, int, int]:
@@ -119,7 +67,7 @@ def run_query(spark, data, name: str) -> tuple[int, int, int, int]:
             return ib, ib.coalesced().count()
         return ib, ib.points(distinct=False).count()
 
-    (ib, out), jobs = counted_jobs(spark, name, action)
+    (ib, out), jobs = counted_jobs(spark, f"plan-shape-{name}", action)
     return (out, jobs, *plan_ops(ib.df))
 
 
@@ -128,7 +76,7 @@ def run_point_query(spark, data, name: str) -> tuple[int, int]:
     evaluator: (output size, jobs)."""
     spark.catalog.clearCache()
     ev = PointEvaluator(SparkITPG.from_data(spark, data).to_tpg())
-    return counted_jobs(spark, f"point-{name}", lambda: eval_match_point(ev, Q.query(name)).count())
+    return counted_jobs(spark, f"plan-shape-point-{name}", lambda: eval_match_point(ev, Q.query(name)).count())
 
 
 @pytest.mark.parametrize("name", Q.TABLE2)
@@ -162,3 +110,15 @@ def test_pattern_test_is_one_selection(spark, gate_data):
     tt = ev.test_table(seg.test)
     assert tt.count() > 0
     assert plan_ops(tt) == (0, 0)
+
+
+def test_edge_hop_is_one_join(spark, gate_data):
+    """An anonymous edge between two node patterns is traversed as one join
+    with the edge pattern's scan: the walk starts from ``x``'s scan, the
+    hop ``F / meets / F`` adds one join and ``y``'s test one more, and
+    every scan is join-free."""
+    spark.catalog.clearCache()
+    ev = IntervalEvaluator(SparkITPG.from_data(spark, gate_data))
+    ib = eval_match_interval(ev, parse_match("MATCH (x:Person)-[:meets]->(y:Person) ON g"))
+    assert ib.df.count() > 0
+    assert plan_ops(ib.df)[0] == 2
