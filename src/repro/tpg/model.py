@@ -238,10 +238,11 @@ class SparkITPG:
 
     def to_tpg(self) -> "SparkTPG":
         """Explode intervals into time points (the canonical translation
-        from ITPG to TPG of Section III-B), in Catalyst."""
+        from ITPG to TPG of Section III-B), in Catalyst. The point rows
+        keep the object's kind and label."""
         seq = F.explode(F.sequence(F.col("s"), F.col("e"))).alias("t")
-        exist_pt = self.exist.select("id", seq)
-        props_pt = self.props.select("id", "p", "v", seq)
+        exist_pt = self.exist.select("id", "kind", "label", seq)
+        props_pt = self.props.select("id", "kind", "label", "p", "v", seq)
         g = SparkTPG(self.omega, self.objects, exist_pt.cache(), props_pt.cache())
         g.exist.count(), g.props.count()
         return g
@@ -249,12 +250,16 @@ class SparkITPG:
 
 @dataclass
 class SparkTPG:
-    """Point-timestamped TPG as Spark DataFrames (Definition III.1)."""
+    """Point-timestamped TPG as Spark DataFrames (Definition III.1), built
+    only by :meth:`SparkITPG.to_tpg` from a validated :class:`ITPGData`, so
+    a property holds only where its object exists (σ ⊆ ξ). The point rows
+    carry the object's kind and label, so a pattern test is one selection
+    over one of them."""
 
     omega: tuple[int, int]
     objects: DataFrame  # id, kind, label, src, tgt
-    exist: DataFrame  # id, t
-    props: DataFrame  # id, p, v, t
+    exist: DataFrame  # id, kind, label, t
+    props: DataFrame  # id, kind, label, p, v, t
 
     def domain_df(self) -> DataFrame:
         """One-column DataFrame ``t`` enumerating Ω (single partition so

@@ -178,16 +178,6 @@ def _as_temporal_atom(path: ast.Path) -> Optional[_TemporalAtom]:
     return None
 
 
-def _contains_temporal(path: ast.Path) -> bool:
-    if isinstance(path, ast.Axis):
-        return path.op in ("N", "P")
-    if isinstance(path, (ast.Seq, ast.Union)):
-        return any(_contains_temporal(p) for p in path.parts)
-    if isinstance(path, ast.Repeat):
-        return _contains_temporal(path.inner)
-    return False
-
-
 class IntervalEvaluator:
     """Evaluates the Section VI fragment over a :class:`SparkITPG`."""
 

@@ -15,11 +15,15 @@ about where they are materialised. So every subexpression's relation is a
 lazy DataFrame, memoised per evaluator, and only the levels of the
 repetition recursions (the identity, ``_power``, ``_upto`` and ``_star``),
 where lineage grows with every round, are ``localCheckpoint``-ed, as
-iterative dataflow on Spark requires. A conjunction of simple tests
-compiles into one scan of the graph relations (:meth:`PointEvaluator._scan`),
-and a test inside a concatenation is a semi-join on the end it constrains,
-not a composition. Nothing is ``cache()``-d: a fresh evaluator recomputes
-every relation and launches the same Spark jobs as the one before it.
+iterative dataflow on Spark requires. The point rows carry the object's
+kind and label, so a conjunction of simple tests compiles into one
+selection over one graph relation (:meth:`PointEvaluator._scan`), plus one
+semi-join per further property. In a concatenation, adjacent tests are one
+conjunction; a test is a semi-join on the end it constrains, not a
+composition, and leading tests seed a first ``NEXT``/``PREV`` step
+directly (:meth:`PointEvaluator._shift`). Nothing is ``cache()``-d: a fresh
+evaluator recomputes every relation and launches the same Spark jobs as
+the one before it.
 
 This evaluator supports the *full* language (path conditions, negation,
 nested occurrence indicators) and is the general-purpose engine; the
@@ -116,13 +120,14 @@ class PointEvaluator:
         """One selection over the graph relations for a conjunction of
         kind, label, property, ``∃`` and time tests.
 
-        The base is the existence relation when ``∃`` is a conjunct, else
-        the first property's points, else every object over Ω; kind and
-        label filter the objects (a semi-join unless the base is the
-        objects themselves), ``<k`` and ``¬<k`` filter ``t``, and every
-        other property is a semi-join on ``(id, t)``."""
+        The base is the first property's points when a property is a
+        conjunct, else the existence points when ``∃`` is one, else every
+        object over Ω. Its rows carry kind and label, so kind, label,
+        ``<k`` and ``¬<k`` are filters on it; ``∃`` needs no join next to a
+        property, since a :class:`SparkTPG` comes from a validated graph
+        (σ ⊆ ξ). Every further property is a semi-join on ``(id, t)``."""
         g = self.g
-        conds, t_conds, exists, props = [], [], False, []
+        conds, exists, props = [], False, []
         for c in dict.fromkeys(conjuncts):
             if isinstance(c, ast.NodeTest):
                 conds.append(F.col("kind") == "node")
@@ -133,26 +138,21 @@ class PointEvaluator:
             elif isinstance(c, ast.ExistsTest):
                 exists = True
             elif isinstance(c, ast.PropTest):
-                props.append(
-                    g.props.filter((F.col("p") == c.prop) & (F.col("v") == c.value))
-                    .select("id", "t")
-                )
+                props.append((F.col("p") == c.prop) & (F.col("v") == c.value))
             elif isinstance(c, ast.LtTest):
-                t_conds.append(F.col("t") < c.k)
+                conds.append(F.col("t") < c.k)
             else:  # ¬<k
-                t_conds.append(F.col("t") >= c.inner.k)
-        objs = g.objects.filter(_all(conds)) if conds else g.objects
-        if exists or props:
-            out = g.exist.select("id", "t") if exists else props.pop(0)
-            if conds:
-                out = out.join(objs.select("id"), "id", "left_semi")
-            if t_conds:
-                out = out.filter(_all(t_conds))
+                conds.append(F.col("t") >= c.inner.k)
+        if props:
+            base = g.props
+            conds.append(props.pop(0))
+        elif exists:
+            base = g.exist
         else:
-            dom = g.domain_df()
-            out = objs.select("id").crossJoin(dom.filter(_all(t_conds)) if t_conds else dom)
-        for pt in props:
-            out = out.join(pt, on=["id", "t"], how="left_semi")
+            base = g.objects.crossJoin(g.domain_df())
+        out = (base.filter(_all(conds)) if conds else base).select("id", "t")
+        for cond in props:
+            out = out.join(g.props.filter(cond).select("id", "t"), on=["id", "t"], how="left_semi")
         return out
 
     def _general(self, test: ast.Test) -> DataFrame:
@@ -188,7 +188,6 @@ class PointEvaluator:
 
     def _rel(self, path: ast.Path) -> DataFrame:
         g = self.g
-        lo, hi = g.omega
         if isinstance(path, ast.TestExpr):
             return _diagonal(self.test_pairs(path.test))
         if isinstance(path, ast.Axis):
@@ -206,14 +205,7 @@ class PointEvaluator:
                     a.unionByName(b)
                     .select("o1", F.col("t").alias("t1"), "o2", F.col("t").alias("t2"))
                 )
-            step = 1 if path.op == "N" else -1
-            base = g.objects.select("id").crossJoin(dom)
-            return base.select(
-                F.col("id").alias("o1"),
-                F.col("t").alias("t1"),
-                F.col("id").alias("o2"),
-                (F.col("t") + step).alias("t2"),
-            ).filter((F.col("t2") >= lo) & (F.col("t2") <= hi))
+            return self._shift(g.pto(), path.op)
         if isinstance(path, ast.Seq):
             return self._seq(path.parts)
         if isinstance(path, ast.Union):
@@ -226,32 +218,51 @@ class PointEvaluator:
             exact = self._power(base, path.lo)
             if path.hi == path.lo:
                 return exact
-            if path.hi is not None:
-                return self.compose(exact, self._upto(base, path.hi - path.lo))
-            return self.compose(exact, self._star(base))
+            tail = self._upto(base, path.hi - path.lo) if path.hi is not None else self._star(base)
+            # base^0 is the identity, and the tail already holds it
+            return tail if path.lo == 0 else self.compose(exact, tail)
         raise TypeError(f"unknown path {path!r}")
 
+    def _shift(self, pairs: DataFrame, op: str) -> DataFrame:
+        """``NEXT`` (``op='N'``) or ``PREV`` (``'P'``) from the temporal
+        objects ``(id, t)`` of ``pairs``: ``{((o, t), (o, t ± 1))}``,
+        clamped to Ω."""
+        lo, hi = self.g.omega
+        return pairs.select(
+            F.col("id").alias("o1"),
+            F.col("t").alias("t1"),
+            F.col("id").alias("o2"),
+            (F.col("t") + (1 if op == "N" else -1)).alias("t2"),
+        ).filter(F.col("t2").between(lo, hi))
+
     def _seq(self, parts: tuple[ast.Path, ...]) -> DataFrame:
-        """Concatenation: compose the non-test parts in order; a test
-        before the first of them restricts its ``(o1, t1)`` end, any
-        later test the ``(o2, t2)`` end of the composition so far."""
-        rel, lead = None, []
+        """Concatenation: compose the non-test parts in order. Adjacent
+        tests merge into one conjunction, so each run of tests is one
+        scan. A leading test seeds a first ``NEXT``/``PREV`` step from its
+        temporal objects (:meth:`_shift`) and restricts any other first
+        step's ``(o1, t1)`` end; a later test restricts the ``(o2, t2)``
+        end of the composition so far. Both restrictions are semi-joins."""
+        steps: list[ast.Path] = []
         for p in parts:
+            if isinstance(p, ast.TestExpr) and steps and isinstance(steps[-1], ast.TestExpr):
+                steps[-1] = ast.TestExpr(ast.conj(steps[-1].test, p.test))
+            else:
+                steps.append(p)
+        if len(steps) == 1:  # tests only
+            return self.rel(steps[0])
+        lead = steps.pop(0).test if isinstance(steps[0], ast.TestExpr) else None
+        first = steps[0]
+        if lead is None:
+            rel = self.rel(first)
+        elif isinstance(first, ast.Axis) and first.op in ("N", "P"):
+            rel = self._shift(self.test_pairs(lead), first.op)
+        else:
+            rel = self._restrict(self.rel(first), lead, "o1", "t1")
+        for p in steps[1:]:
             if isinstance(p, ast.TestExpr):
-                if rel is None:
-                    lead.append(p.test)
-                else:
-                    rel = self._restrict(rel, p.test, "o2", "t2")
-            elif rel is None:
-                rel = self.rel(p)
-                for test in lead:
-                    rel = self._restrict(rel, test, "o1", "t1")
+                rel = self._restrict(rel, p.test, "o2", "t2")
             else:
                 rel = self.compose(rel, self.rel(p))
-        if rel is None:  # tests only
-            rel = self.rel(ast.TestExpr(lead[0]))
-            for test in lead[1:]:
-                rel = self._restrict(rel, test, "o1", "t1")
         return rel
 
     # -------------------------------------------- repetition (Algorithms 1/2)

@@ -145,9 +145,10 @@ class TestSparkRepresentations:
         assert fig1_itpg.exist.count() == len(fig1_data.exist)
         assert fig1_itpg.props.count() == len(fig1_data.props)
 
-    def test_interval_rows_carry_kind_and_label(self, fig1_data, fig1_itpg):
+    def test_rows_carry_kind_and_label(self, fig1_data, fig1_itpg, fig1_tpg):
+        """Interval rows and the point rows exploded from them."""
         kl = {r.id: (r.kind, r.label) for r in fig1_data.objects.itertuples()}
-        for df in (fig1_itpg.exist, fig1_itpg.props):
+        for df in (fig1_itpg.exist, fig1_itpg.props, fig1_tpg.exist, fig1_tpg.props):
             for r in df.collect():
                 assert (r["kind"], r["label"]) == kl[r["id"]]
 

@@ -4,7 +4,7 @@ the point backend, each bounded by the figure the current evaluator
 reaches, next to the exact output size of each query. A plan change that
 adds a job, a join or an exchange fails here; one that removes some should
 lower the bound. A pattern test alone is one selection over a loaded
-relation, with no join and no exchange.
+relation, with no join and no exchange, on either backend.
 
 Every query runs from a cleared cache and a fresh load, as a benchmark
 pass does, so that no query is served tables another query cached (the
@@ -46,7 +46,7 @@ BOUNDS = {
 # (output size, Spark jobs) per query on the point backend (Theorem C.1
 # evaluator), same configuration; the point evaluator's relations are lazy
 # except where the repetition recursions checkpoint them.
-POINT_BOUNDS = {"Q2": (174, 6), "Q6": (38, 12), "Q7": (17, 48)}
+POINT_BOUNDS = {"Q2": (174, 3), "Q6": (38, 4), "Q7": (17, 24)}
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +110,17 @@ def test_pattern_test_is_one_selection(spark, gate_data):
     tt = ev.test_table(seg.test)
     assert tt.count() > 0
     assert plan_ops(tt) == (0, 0)
+
+
+def test_point_pattern_test_is_one_selection(spark, gate_data):
+    """The point twin: Q2's pattern reads one point relation, whose rows
+    carry kind and label, with no join and no exchange."""
+    spark.catalog.clearCache()
+    ev = PointEvaluator(SparkITPG.from_data(spark, gate_data).to_tpg())
+    (seg,) = segment_asts(Q.query("Q2"))
+    pairs = ev.test_pairs(seg.test)
+    assert pairs.count() > 0
+    assert plan_ops(pairs) == (0, 0)
 
 
 def test_edge_hop_is_one_join(spark, gate_data):

@@ -5,6 +5,17 @@ from repro.trpq import ast
 from repro.trpq import queries as Q
 
 
+def contains_temporal(path):
+    """Whether ``path`` holds a ``NEXT`` or ``PREV`` step."""
+    if isinstance(path, ast.Axis):
+        return path.op in ("N", "P")
+    if isinstance(path, (ast.Seq, ast.Union)):
+        return any(contains_temporal(p) for p in path.parts)
+    if isinstance(path, ast.Repeat):
+        return contains_temporal(path.inner)
+    return False
+
+
 def find_repeats(p, out):
     if isinstance(p, ast.Repeat):
         out.append(p)
@@ -25,17 +36,13 @@ class TestCatalogue:
 
     @pytest.mark.parametrize("name", Q.STRUCTURAL_ONLY)
     def test_structural_queries_have_no_temporal_ops(self, name):
-        from repro.trpq.interval_eval import _contains_temporal
-
         q = Q.query(name)
-        assert not any(_contains_temporal(link) for link in q.links)
+        assert not any(contains_temporal(link) for link in q.links)
 
     @pytest.mark.parametrize("name", ("Q6", "Q7", "Q8", "Q9", "Q10", "Q11", "Q12"))
     def test_temporal_queries_have_temporal_ops(self, name):
-        from repro.trpq.interval_eval import _contains_temporal
-
         q = Q.query(name)
-        assert any(_contains_temporal(link) for link in q.links)
+        assert any(contains_temporal(link) for link in q.links)
 
 
 class TestWindowRewrite:

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from repro.probe import plan_ops
+from repro.tpg.model import SparkITPG
 from repro.trpq import ast
 from repro.trpq import queries as Q
 from repro.trpq.match import eval_match_point
@@ -10,6 +12,7 @@ from repro.trpq.semantics import LocalTPG, holds
 from repro.trpq.semantics import eval_path as ref_eval
 from repro.trpq.spark_eval import PointEvaluator
 from tests.conftest import ALL_QUERIES, FIXED_CONJUNCTIONS, random_conjunction, time_eq
+from tests.test_edge_graphs import GRAPHS
 
 
 def spark_rel(ev, path):
@@ -180,6 +183,48 @@ class TestGeneralPathConjunctions:
         test = ast.conj(ast.NODE, ast.LabelTest("Person"), time_eq(3), ast.EXISTS)
         ev.test_pairs(test)
         assert list(ev._test_memo) == [test]
+
+
+# ------------------------------------------------- seeded NEXT/PREV steps
+
+SEEDED = [
+    ast.seq(ast.PropTest("test", "pos"), ast.P),
+    ast.seq(ast.LabelTest("Person"), ast.N),
+    ast.seq(ast.LtTest(5), ast.P),
+    ast.seq(ast.EXISTS, ast.N, ast.EXISTS),
+    # a leading run of tests is one conjunction
+    ast.seq(ast.NODE, ast.EXISTS, ast.P, ast.EXISTS, ast.NODE),
+]
+
+
+@pytest.fixture(params=["fig1", "rung", "one_point"])
+def seeded_graph(request, spark):
+    if request.param == "one_point":
+        data = GRAPHS["one_point"]()
+        return data, SparkITPG.from_data(spark, data)
+    data_fx, itpg_fx = {"fig1": ("fig1_data", "fig1_itpg"), "rung": ("rung", "rung_itpg")}[request.param]
+    return request.getfixturevalue(data_fx), request.getfixturevalue(itpg_fx)
+
+
+def test_seeded_steps_match_reference(seeded_graph):
+    """A first ``NEXT``/``PREV`` step after leading tests is built from the
+    tests' temporal objects shifted by one, clamped to Ω: it agrees with
+    the reference, also where the lead test holds only at Ω's first or
+    last point (and on a one-point Ω), and adds no join or exchange to the
+    lead test's scan."""
+    data, itpg = seeded_graph
+    local, ev = LocalTPG.from_data(data), PointEvaluator(itpg.to_tpg())
+    lo, hi = data.omega
+    ends = {(t, step.op): ast.seq(time_eq(t), step) for t in (lo, hi) for step in (ast.N, ast.P)}
+    at_ends = list(ends.values())
+    for path in SEEDED + at_ends:
+        assert spark_rel(ev, path) == ref_eval(local, path), path
+    # the shift leaves Ω from its first point backwards and its last forwards
+    assert not spark_rel(ev, ends[lo, "P"]) and not spark_rel(ev, ends[hi, "N"])
+    assert bool(spark_rel(ev, ends[lo, "N"])) == (lo < hi)
+    for path in SEEDED[:3] + at_ends:
+        lead = path.parts[0].test
+        assert plan_ops(ev.rel(path)) == plan_ops(ev.test_pairs(lead)), path
 
 
 @pytest.mark.parametrize("name", ["Q6", "Q9"])
