@@ -3,10 +3,11 @@ evaluator, reporting interval-based time, total time and output size.
 
 Usage: ``python jobs/table2.py [--graph G10] [--repeats 3] [--seed N] [--json PATH]``
 
-``--json PATH`` also writes the run as JSON: per query ``interval_s``,
-``total_s`` and ``output``, the load time, the graph, seed and repeats, the
-git SHA of the checkout and the Spark configuration as the session reports
-it.
+``--json PATH`` also writes the run as JSON: per query (its fastest
+repeat) ``interval_s``, ``total_s``, ``output``, the Spark ``jobs`` it
+launched and the ``joins`` and ``exchanges`` of its Steps 1–2 plan; the
+load time, the graph, seed and repeats, the git SHA of the checkout and the
+Spark configuration as the session reports it.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from repro.tpg.generator import g_lite
 from repro.tpg.model import SparkITPG
 
 ROOT = Path(__file__).resolve().parent.parent
+QUERY_KEYS = ("interval_s", "total_s", "output", "jobs", "joins", "exchanges")
 
 
 def git_sha() -> str | None:
@@ -69,7 +71,7 @@ def main() -> None:
             "stats": stats,
             "load_s": load_s,
             "queries": {
-                r["query"]: {k: r[k] for k in ("interval_s", "total_s", "output")} for r in rows
+                r["query"]: {k: r[k] for k in QUERY_KEYS} for r in rows
             },
         }
         Path(args.json).write_text(json.dumps(record, indent=1) + "\n")

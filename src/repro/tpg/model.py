@@ -204,11 +204,12 @@ class ITPGData:
 
 @dataclass
 class SparkITPG:
-    """Interval-timestamped TPG as Spark DataFrames (cached): the paper's
-    Nodes/Edges interval relations, whose rows carry the object's kind,
-    label and, for an edge, its endpoints ``src``/``tgt`` (NULL on a node),
-    so a pattern test is one selection over one of them and an edge hop
-    reads its endpoints from the same rows."""
+    """Interval-timestamped TPG as Spark DataFrames, each a local
+    checkpoint whose plan holds no rows: the paper's Nodes/Edges interval
+    relations, whose rows carry the object's kind, label and, for an edge,
+    its endpoints ``src``/``tgt`` (NULL on a node), so a pattern test is
+    one selection over one of them and an edge hop reads its endpoints
+    from the same rows."""
 
     omega: tuple[int, int]
     objects: DataFrame  # id, kind, label, src, tgt
@@ -219,7 +220,10 @@ class SparkITPG:
     def from_data(spark: SparkSession, data: ITPGData) -> "SparkITPG":
         """Load ``data``; kind, label, src and tgt are joined onto the
         ``exist`` and ``props`` rows in pandas, so loading launches no
-        join."""
+        join. Each table is an eager ``localCheckpoint``: a frame built
+        from pandas (with Arrow) keeps its rows in its logical plan, which
+        every query over it would carry and analyse; the checkpoint's plan
+        reads an RDD instead."""
         obj_schema = "id string, kind string, label string, src string, tgt string"
         ex_schema = f"{obj_schema}, s long, e long"
         pr_schema = f"{obj_schema}, p string, v string, s long, e long"
@@ -232,20 +236,20 @@ class SparkITPG:
         objects = spark.createDataFrame(data.objects[OBJECT_COLS], schema=obj_schema)
         exist = spark.createDataFrame(labelled(data.exist, EXIST_COLS), schema=ex_schema)
         props = spark.createDataFrame(labelled(data.props, PROP_COLS), schema=pr_schema)
-        g = SparkITPG(data.omega, objects.cache(), exist.cache(), props.cache())
-        g.objects.count(), g.exist.count(), g.props.count()
-        return g
+        return SparkITPG(
+            data.omega, objects.localCheckpoint(), exist.localCheckpoint(), props.localCheckpoint()
+        )
 
     def to_tpg(self) -> "SparkTPG":
         """Explode intervals into time points (the canonical translation
-        from ITPG to TPG of Section III-B), in Catalyst. The point rows
-        keep the object's kind and label."""
+        from ITPG to TPG of Section III-B), in Catalyst, and checkpoint
+        the point rows, which keep the object's kind and label."""
         seq = F.explode(F.sequence(F.col("s"), F.col("e"))).alias("t")
         exist_pt = self.exist.select("id", "kind", "label", seq)
         props_pt = self.props.select("id", "kind", "label", "p", "v", seq)
-        g = SparkTPG(self.omega, self.objects, exist_pt.cache(), props_pt.cache())
-        g.exist.count(), g.props.count()
-        return g
+        return SparkTPG(
+            self.omega, self.objects, exist_pt.localCheckpoint(), props_pt.localCheckpoint()
+        )
 
 
 @dataclass
@@ -253,8 +257,8 @@ class SparkTPG:
     """Point-timestamped TPG as Spark DataFrames (Definition III.1), built
     only by :meth:`SparkITPG.to_tpg` from a validated :class:`ITPGData`, so
     a property holds only where its object exists (σ ⊆ ξ). The point rows
-    carry the object's kind and label, so a pattern test is one selection
-    over one of them."""
+    are local checkpoints and carry the object's kind and label, so a
+    pattern test is one selection over one of them."""
 
     omega: tuple[int, int]
     objects: DataFrame  # id, kind, label, src, tgt

@@ -1,13 +1,24 @@
-"""Catalyst helpers shared by the interval evaluator.
+"""Catalyst helpers shared by the evaluators.
 
 The key primitive is interval coalescing (gaps-and-islands with window
 functions): the paper's point-based semantics requires interval
-representations to stay temporally coalesced through operations.
+representations to stay temporally coalesced through operations. The
+other is :func:`pin_counted`, the one way a relation is materialised
+together with its row count.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame, Observation, Window
 from pyspark.sql import functions as F
+
+
+def pin_counted(df: DataFrame) -> tuple[DataFrame, int]:
+    """Eager ``localCheckpoint`` of ``df`` and its row count, both from the
+    jobs that write the checkpoint: the count is an :class:`Observation` of
+    the rows written, not an action of its own."""
+    obs = Observation()
+    pinned = df.observe(obs, F.count(F.lit(1)).alias("n")).localCheckpoint(eager=True)
+    return pinned, obs.get["n"]
 
 
 def coalesce_intervals(df: DataFrame, keys: list[str], s: str = "s", e: str = "e") -> DataFrame:

@@ -20,12 +20,12 @@ Three backends share this logic:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..tpg.sparkutil import coalesce_intervals, explode_points
+from ..tpg.sparkutil import coalesce_intervals, explode_points, pin_counted
 from . import ast
 from .interval_eval import COLS, Capture, IntervalEvaluator, UnsupportedFragment
 from .parser import MatchQuery
@@ -174,21 +174,31 @@ class IntervalBindings:
     :data:`~repro.trpq.interval_eval.COLS`: variables up to the temporal
     link's start (all of them when ``temporal`` is false) are bound at
     ``t1``, the rest at ``t2``.
+
+    ``df`` stays the lazy plan of Steps 1–2, so its executed plan can be
+    read after :meth:`materialize`; Step 3 reads ``pinned``, the
+    checkpoint that :meth:`materialize` takes, when there is one.
     """
 
     df: DataFrame
     vars_pre: list[str]
     vars_post: list[str]
     temporal: bool
+    pinned: DataFrame | None = field(default=None, repr=False)
 
     @property
     def vars(self) -> list[str]:
         return self.vars_pre + self.vars_post
 
     def materialize(self) -> int:
-        """Force Steps 1–2 (the paper's "interval-based time")."""
-        self.df = self.df.cache()
-        return self.df.count()
+        """Force Steps 1–2 (the paper's "interval-based time") into a local
+        checkpoint and return the relation's row count, counted by the
+        checkpoint's own jobs (:func:`~repro.tpg.sparkutil.pin_counted`)."""
+        self.pinned, n = pin_counted(self.df)
+        return n
+
+    def _rel(self) -> DataFrame:
+        return self.df if self.pinned is None else self.pinned
 
     # ------------------------------------------------------------- Step 3
     def points(self, distinct: bool = True) -> DataFrame:
@@ -203,7 +213,7 @@ class IntervalBindings:
         output or when a variable is bound at it.
         """
         df = explode_points(
-            self.df.withColumns({
+            self._rel().withColumns({
                 "_lo": F.greatest(F.col("s1"), F.col("s2") - F.col("dmax")),
                 "_hi": F.least(F.col("e1"), F.col("e2") - F.col("dmin")),
             }),
@@ -228,7 +238,7 @@ class IntervalBindings:
         (Q1–Q5 style): one row per variable tuple and maximal interval."""
         if self.temporal:
             raise UnsupportedFragment("coalesced output requires a structural chain")
-        df = self.df.select(*self.vars, F.col("s1").alias("s"), F.col("e1").alias("e"))
+        df = self._rel().select(*self.vars, F.col("s1").alias("s"), F.col("e1").alias("e"))
         return coalesce_intervals(df, self.vars)
 
 

@@ -15,15 +15,16 @@ about where they are materialised. So every subexpression's relation is a
 lazy DataFrame, memoised per evaluator, and only the levels of the
 repetition recursions (the identity, ``_power``, ``_upto`` and ``_star``),
 where lineage grows with every round, are ``localCheckpoint``-ed, as
-iterative dataflow on Spark requires. The point rows carry the object's
-kind and label, so a conjunction of simple tests compiles into one
-selection over one graph relation (:meth:`PointEvaluator._scan`), plus one
-semi-join per further property. In a concatenation, adjacent tests are one
-conjunction; a test is a semi-join on the end it constrains, not a
-composition, and leading tests seed a first ``NEXT``/``PREV`` step
-directly (:meth:`PointEvaluator._shift`). Nothing is ``cache()``-d: a fresh
-evaluator recomputes every relation and launches the same Spark jobs as
-the one before it.
+iterative dataflow on Spark requires; ``_star`` reads each round's size,
+which detects its fixpoint, from the job that checkpoints the round. The
+point rows carry the object's kind and label, so a conjunction of simple
+tests compiles into one selection over one graph relation
+(:meth:`PointEvaluator._scan`), plus one semi-join per further property.
+In a concatenation, adjacent tests are one conjunction; a test is a
+semi-join on the end it constrains, not a composition, and leading tests
+seed a first ``NEXT``/``PREV`` step directly (:meth:`PointEvaluator._shift`).
+Nothing is ``cache()``-d: a fresh evaluator recomputes every relation and
+launches the same Spark jobs as the one before it.
 
 This evaluator supports the *full* language (path conditions, negation,
 nested occurrence indicators) and is the general-purpose engine; the
@@ -38,18 +39,24 @@ from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from ..tpg.model import SparkTPG
+from ..tpg.sparkutil import pin_counted
 from . import ast
 
 REL_COLS = ["o1", "t1", "o2", "t2"]
 
 
+def _capped(df: DataFrame) -> DataFrame:
+    """At most 16 partitions, which keeps the many small intermediate
+    relations from exploding into hundreds of tasks (crossJoin/union
+    multiply partition counts). ``coalesce`` never raises a partition
+    count, so it needs no look at ``df.rdd``, which would run the plan's
+    shuffle stages once more before the checkpoint runs them."""
+    return df.coalesce(16)
+
+
 def _ckpt(df: DataFrame) -> DataFrame:
-    """Materialise with flat lineage. Capping partitions keeps the many
-    small intermediate relations from exploding into hundreds of tasks
-    (crossJoin/union multiply partition counts)."""
-    if df.rdd.getNumPartitions() > 16:
-        df = df.coalesce(16)
-    return df.localCheckpoint(eager=True)
+    """Materialise with flat lineage."""
+    return _capped(df).localCheckpoint(eager=True)
 
 
 def _all(conds: list[Column]) -> Column:
@@ -291,12 +298,12 @@ class PointEvaluator:
 
     def _star(self, base: DataFrame) -> DataFrame:
         """Reflexive-transitive closure by doubling to a fixpoint
-        (``path[0,_] = path[0,M^2]``, reached in O(log M) rounds)."""
-        cur = _ckpt(self.identity().unionByName(base).distinct())
-        n = cur.count()
+        (``path[0,_] = path[0,M^2]``, reached in O(log M) rounds). Each
+        round's size, which detects the fixpoint, is counted by the job
+        that checkpoints the round (:func:`~repro.tpg.sparkutil.pin_counted`)."""
+        cur, n = pin_counted(_capped(self.identity().unionByName(base).distinct()))
         while True:
-            nxt = _ckpt(self.compose(cur, cur).unionByName(cur).distinct())
-            m = nxt.count()
+            nxt, m = pin_counted(_capped(self.compose(cur, cur).unionByName(cur).distinct()))
             if m == n:
                 return nxt
             cur, n = nxt, m

@@ -1,16 +1,18 @@
 """Plan-shape gate: Spark jobs and executed-plan joins/exchanges of every
-Table II query on the interval backend, and Spark jobs of Q2, Q6 and Q7 on
-the point backend, each bounded by the figure the current evaluator
+Table II query on the interval backend, and Spark jobs of Q2, Q6, Q7 and
+Q9 on the point backend, each bounded by the figure the current evaluator
 reaches, next to the exact output size of each query. A plan change that
 adds a job, a join or an exchange fails here; one that removes some should
 lower the bound. A pattern test alone is one selection over a loaded
 relation, with no join and no exchange, on either backend.
 
-Every query runs from a cleared cache and a fresh load, as a benchmark
-pass does, so that no query is served tables another query cached (the
-loaded graph relations are the only cached tables; test tables are not
-cached). The graph gives every query a non-empty answer, because adaptive
-execution skips work on empty relations and launches fewer jobs for them.
+Every query runs on a fresh load, as a benchmark pass does. The loaded
+graph relations are local checkpoints, so their plans hold no rows, and
+nothing is cached; the cleared cache only guards against a test that
+caches. Materialising Steps 1–2 checkpoints the interval relation and
+counts it in the same Spark job; Step 3 reads that checkpoint. The graph
+gives every query a non-empty answer, because adaptive execution skips
+work on empty relations and launches fewer jobs for them.
 """
 import pytest
 
@@ -29,24 +31,25 @@ from repro.trpq.spark_eval import PointEvaluator
 # figures. The output is exact: coalesced rows for Q1–Q5, bag counts (one
 # row per witness pair) for Q6–Q12.
 BOUNDS = {
-    "Q1": (56, 6, 0, 0),
-    "Q2": (42, 6, 0, 0),
-    "Q3": (2, 6, 0, 0),
-    "Q4": (10, 6, 0, 0),
-    "Q5": (1, 9, 2, 4),
-    "Q6": (38, 8, 2, 3),
-    "Q7": (17, 11, 4, 6),
-    "Q8": (66, 11, 3, 6),
-    "Q9": (11, 13, 4, 8),
-    "Q10": (7, 13, 4, 8),
-    "Q11": (15, 19, 8, 14),
-    "Q12": (26, 23, 10, 18),
+    "Q1": (56, 4, 0, 0),
+    "Q2": (42, 4, 0, 0),
+    "Q3": (2, 4, 0, 0),
+    "Q4": (10, 4, 0, 0),
+    "Q5": (1, 8, 2, 4),
+    "Q6": (38, 6, 2, 3),
+    "Q7": (17, 9, 4, 6),
+    "Q8": (66, 9, 3, 6),
+    "Q9": (11, 9, 4, 8),
+    "Q10": (7, 9, 4, 8),
+    "Q11": (15, 12, 8, 14),
+    "Q12": (26, 13, 10, 18),
 }
 
 # (output size, Spark jobs) per query on the point backend (Theorem C.1
 # evaluator), same configuration; the point evaluator's relations are lazy
-# except where the repetition recursions checkpoint them.
-POINT_BOUNDS = {"Q2": (174, 3), "Q6": (38, 4), "Q7": (17, 24)}
+# except where the repetition recursions checkpoint them. Q9's ``PREV*``
+# is a doubling fixpoint (``_star``), Q7's ``PREV`` and hops are not.
+POINT_BOUNDS = {"Q2": (174, 3), "Q6": (38, 4), "Q7": (17, 19), "Q9": (2, 58)}
 
 
 @pytest.fixture(scope="module")
@@ -133,3 +136,60 @@ def test_edge_hop_is_one_join(spark, gate_data):
     ib = eval_match_interval(ev, parse_match("MATCH (x:Person)-[:meets]->(y:Person) ON g"))
     assert ib.df.count() > 0
     assert plan_ops(ib.df)[0] == 2
+
+
+def test_materialize_counts_and_pins_steps12(spark, gate_data):
+    """``materialize()`` returns the relation's size, leaves ``df`` the lazy
+    plan of Steps 1–2 (its joins and exchanges are still readable), and
+    Step 3 then reads the checkpoint: no join, no exchange."""
+    ev = IntervalEvaluator(SparkITPG.from_data(spark, gate_data))
+    ib = eval_match_interval(ev, Q.query("Q11"))
+    before = plan_ops(ib.df)
+    assert before[0] > 0 and before[1] > 0
+    assert ib.materialize() == ib.df.count() > 0
+    assert plan_ops(ib.df) == before
+    assert plan_ops(ib.points(distinct=False)) == (0, 0)
+
+
+@pytest.mark.parametrize("name", ["Q4", "Q7", "Q11"])
+def test_step3_same_with_and_without_materialize(spark, gate_data, name):
+    ev = IntervalEvaluator(SparkITPG.from_data(spark, gate_data))
+
+    def step3(ib):
+        out = ib.coalesced() if name in Q.STRUCTURAL_ONLY else ib.points(distinct=False)
+        return sorted(tuple(r) for r in out.collect())
+
+    lazy = eval_match_interval(ev, Q.query(name))
+    pinned = eval_match_interval(ev, Q.query(name))
+    pinned.materialize()
+    assert pinned.pinned is not None and lazy.pinned is None
+    assert step3(pinned) == step3(lazy)
+    assert len(step3(lazy)) == BOUNDS[name][0]
+
+
+def test_materialize_counts_an_empty_relation(spark, gate_data):
+    """The observed count is 0, and returned, when the chain is empty only
+    at run time (adaptive execution prunes the hop's join)."""
+    ev = IntervalEvaluator(SparkITPG.from_data(spark, gate_data))
+    ib = eval_match_interval(ev, parse_match("MATCH (x:Nobody)-[:meets]->(y:Person) ON g"))
+    assert ib.materialize() == 0
+    assert ib.points(distinct=False).count() == 0
+
+
+@pytest.mark.parametrize("arrow", ["true", "false"])
+def test_loaded_tables_carry_no_rows_in_plans(spark, gate_data, arrow):
+    """The loaded interval and point tables are local checkpoints: their
+    optimized plans read an RDD and embed no ``LocalRelation`` rows,
+    whether or not the frames were built with Arrow."""
+    key = "spark.sql.execution.arrow.pyspark.enabled"
+    old = spark.conf.get(key)
+    spark.conf.set(key, arrow)
+    try:
+        itpg = SparkITPG.from_data(spark, gate_data)
+    finally:
+        spark.conf.set(key, old)
+    tpg = itpg.to_tpg()
+    for df in (itpg.objects, itpg.exist, itpg.props, tpg.exist, tpg.props):
+        plan = df._jdf.queryExecution().optimizedPlan().toString()
+        assert "LocalRelation" not in plan, plan
+        assert "LogicalRDD" in plan, plan
