@@ -1,28 +1,2 @@
-"""Standalone SparkSession for ``jobs/`` entrypoints.
-
-Tests use the shared ``spark`` fixture from conftest.py; these entrypoints
-run outside pytest (``python jobs/table2.py`` or via ``spark-submit``), so
-they build an equivalently-configured local session here.
-"""
-from __future__ import annotations
-
-import os
-
-from pyspark.sql import SparkSession
-
-
-def get_spark(app: str) -> SparkSession:
-    return (
-        SparkSession.builder.appName(app)
-        .master(os.environ.get("SPARK_MASTER", "local[*]"))
-        .config("spark.driver.host", "127.0.0.1")
-        .config("spark.ui.enabled", "false")
-        .config("spark.ui.showConsoleProgress", "false")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "16"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+"""The session builder for ``jobs/`` entrypoints, which import it from here."""
+from repro.session import get_spark  # noqa: F401

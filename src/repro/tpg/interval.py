@@ -47,11 +47,6 @@ def intersect(a: Iterable[Interval], b: Iterable[Interval]) -> list[Interval]:
     return out
 
 
-def union(a: Iterable[Interval], b: Iterable[Interval]) -> list[Interval]:
-    """Set union of two interval families."""
-    return coalesce(list(a) + list(b))
-
-
 def complement(intervals: Iterable[Interval], lo: int, hi: int) -> list[Interval]:
     """Set complement of ``intervals`` within the domain ``[lo, hi]``."""
     out: list[Interval] = []
@@ -74,11 +69,6 @@ def clip(intervals: Iterable[Interval], lo: int, hi: int) -> list[Interval]:
     return intersect(intervals, [(lo, hi)])
 
 
-def contains(intervals: Iterable[Interval], t: int) -> bool:
-    """True iff ``t`` is covered by the family."""
-    return any(s <= t <= e for s, e in intervals)
-
-
 def covered_by(inner: Iterable[Interval], outer: Iterable[Interval]) -> bool:
     """The ⊑ relation of Appendix A: every inner interval occurs during
     some outer interval (point-set containment for coalesced families)."""
@@ -90,11 +80,6 @@ def points(intervals: Iterable[Interval]) -> Iterator[int]:
     """Iterate every time point of the family, ascending."""
     for s, e in coalesce(intervals):
         yield from range(s, e + 1)
-
-
-def total_points(intervals: Iterable[Interval]) -> int:
-    """Number of time points covered by the family."""
-    return sum(e - s + 1 for s, e in coalesce(intervals))
 
 
 def is_coalesced(intervals: list[Interval]) -> bool:

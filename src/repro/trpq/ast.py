@@ -201,6 +201,15 @@ class Repeat(Path):
         return f"{self.inner}[{self.lo},{hi}]"
 
 
+@dataclass(frozen=True)
+class Capture:
+    """A MATCH-chain walk step (not a path) that binds a variable to the
+    temporal objects at the walk's current end; both Spark evaluators'
+    ``walk`` take it between path parts."""
+
+    var: str
+
+
 def seq(*parts: Union[Path, Test]) -> Path:
     """Concatenate, lifting bare tests and flattening nested Seq."""
     flat: list[Path] = []

@@ -69,13 +69,6 @@ class LinkRel:
     post: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Capture:
-    """A walk step that binds a MATCH variable to the objects at ``o2``."""
-
-    var: str
-
-
 _KINDS = {ast.NodeTest: "node", ast.EdgeTest: "edge"}
 _FLIPPED = {"node": "edge", "edge": "node", None: None}
 
@@ -278,7 +271,7 @@ class IntervalEvaluator:
         the :meth:`walk` of its parts."""
         return self.walk(list(path.parts) if isinstance(path, ast.Seq) else [path])
 
-    def walk(self, steps: list[ast.Path | Capture]) -> LinkRel:
+    def walk(self, steps: list[ast.Path | ast.Capture]) -> LinkRel:
         """Evaluate a sequence of path parts and captures left-deep on one
         relation (Steps 1 and 2).
 
@@ -293,7 +286,7 @@ class IntervalEvaluator:
         df = diagonal(seed, F.col("id").alias("o1"), F.col("id").alias("o2"))
         return self._seq(LinkRel(df, temporal=False, kind=kind), steps)
 
-    def _seq(self, state: LinkRel, steps: list[ast.Path | Capture]) -> LinkRel:
+    def _seq(self, state: LinkRel, steps: list[ast.Path | ast.Capture]) -> LinkRel:
         i = 0
         while i < len(steps):
             hop = self._edge_hop(state, steps[i:i + 4])
@@ -301,7 +294,7 @@ class IntervalEvaluator:
                 rel, var = hop
                 state = _bound(replace(state, df=compose(state.df, rel)), var)
                 i += 4 if var else 3
-            elif isinstance(steps[i], Capture):
+            elif isinstance(steps[i], ast.Capture):
                 var = steps[i].var
                 state = _bound(replace(state, df=state.df.withColumn(var, F.col("o2"))), var)
                 i += 1
@@ -311,7 +304,7 @@ class IntervalEvaluator:
         return state
 
     def _edge_hop(
-        self, state: LinkRel, steps: list[ast.Path | Capture]
+        self, state: LinkRel, steps: list[ast.Path | ast.Capture]
     ) -> Optional[tuple[DataFrame, Optional[str]]]:
         """``F / T / F`` (or ``B / T / B``, optionally with a capture of
         the edge after ``T``) at the head of ``steps`` from a state at
@@ -324,7 +317,7 @@ class IntervalEvaluator:
         op, test = steps[0], steps[1]
         if op not in (ast.F, ast.B) or not isinstance(test, ast.TestExpr):
             return None
-        var = steps[2].var if isinstance(steps[2], Capture) else None
+        var = steps[2].var if isinstance(steps[2], ast.Capture) else None
         end = 3 if var else 2
         if len(steps) <= end or steps[end] != op:
             return None

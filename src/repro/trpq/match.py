@@ -7,16 +7,14 @@ patterns.
 
 Three backends share this logic:
 
-* :func:`eval_match_point`   — Spark point evaluator (full language); it
-  joins one relation per link, ``test_i / link_i / test_{i+1}``, on the
-  shared chain positions;
-* :func:`eval_match_local`   — pure-Python reference semantics (oracle),
-  the same per-link join;
-* :func:`eval_match_interval`— Section VI interval evaluator; it walks the
-  whole chain once, left-deep (:func:`chain_steps`), and returns an
-  :class:`IntervalBindings` that separates Steps 1–2 (interval relation)
-  from Step 3 (``points()`` expansion), so benchmarks can time them the
-  way Table II reports them.
+* :func:`eval_match_point`   — Spark point evaluator (full language);
+* :func:`eval_match_interval`— Section VI interval evaluator; it returns
+  an :class:`IntervalBindings` that separates Steps 1–2 (interval
+  relation) from Step 3 (``points()`` expansion), so benchmarks can time
+  them the way Table II reports them;
+* :func:`eval_match_local`   — pure-Python reference semantics (oracle);
+  it joins one relation per link (:func:`segment_asts`), which checks the
+  Spark backends' one left-deep walk over the chain (:func:`chain_steps`).
 """
 from __future__ import annotations
 
@@ -27,7 +25,7 @@ from pyspark.sql import functions as F
 
 from ..tpg.sparkutil import coalesce_intervals, explode_points, pin_counted
 from . import ast
-from .interval_eval import COLS, Capture, IntervalEvaluator, UnsupportedFragment
+from .interval_eval import COLS, IntervalEvaluator, UnsupportedFragment
 from .parser import MatchQuery
 from .semantics import LocalTPG, eval_path
 from .spark_eval import PointEvaluator
@@ -35,7 +33,8 @@ from .spark_eval import PointEvaluator
 _RESERVED = {
     *COLS, "s", "e", "t", "t1", "t2", "_m", "_lo", "_hi", *("_r" + c for c in COLS),
     "_new",  # IntervalEvaluator._apply_move's hop column
-    "_cur", "_curt", "_nxt", "_nxtt",  # eval_match_point's chain columns
+    "_island", "_new_island",  # coalesce_intervals' columns
+    "_jo", "_jt",  # PointEvaluator.compose's join columns
 }
 
 
@@ -43,6 +42,8 @@ def _check_vars(q: MatchQuery) -> None:
     for v in q.vars:
         if v in _RESERVED:
             raise ValueError(f"variable name {v!r} is reserved")
+        if f"{v}_time" in q.vars:
+            raise ValueError(f"variable name '{v}_time' is reserved for the time of {v!r}")
     if len(q.vars) != len(set(q.vars)):
         raise ValueError("duplicate variable names are not supported")
 
@@ -62,19 +63,19 @@ def segment_asts(q: MatchQuery) -> list[ast.Path]:
     ]
 
 
-def chain_steps(q: MatchQuery) -> list[ast.Path | Capture]:
+def chain_steps(q: MatchQuery) -> list[ast.Path | ast.Capture]:
     """The chain as one walk: ``test_0, capture(v0), link_0, test_1,
     capture(v1), …, test_n, capture(vn)``, with each link's parts inlined
     and a capture only for a named pattern. Each pattern is tested once."""
     _check_vars(q)
-    steps: list[ast.Path | Capture] = []
+    steps: list[ast.Path | ast.Capture] = []
     for i, pat in enumerate(q.patterns):
         if i:
             link = q.links[i - 1]
             steps += link.parts if isinstance(link, ast.Seq) else [link]
         steps.append(ast.TestExpr(pat.test()))
         if pat.var:
-            steps.append(Capture(pat.var))
+            steps.append(ast.Capture(pat.var))
     return steps
 
 
@@ -92,45 +93,7 @@ def out_columns(q: MatchQuery) -> list[str]:
 def eval_match_point(ev: PointEvaluator, q: MatchQuery) -> DataFrame:
     """Binding table via the point-based evaluator (columns per
     :func:`out_columns`)."""
-    segs = segment_asts(q)
-    pats = q.patterns
-
-    def tag(df: DataFrame, left_idx: int) -> DataFrame:
-        lv, rv = pats[left_idx].var, pats[left_idx + 1].var if left_idx + 1 < len(pats) else None
-        sel = [F.col("o2").alias("_cur"), F.col("t2").alias("_curt")]
-        if lv:
-            sel = [F.col("o1").alias(lv), F.col("t1").alias(f"{lv}_time")] + sel
-        if rv:
-            sel += [F.col("o2").alias(rv), F.col("t2").alias(f"{rv}_time")]
-        return df.select(*sel)
-
-    first = ev.rel(segs[0])
-    if len(pats) == 1:
-        v = pats[0].var
-        out = first.select(F.col("o1").alias(v), F.col("t1").alias(f"{v}_time"))
-        return out.distinct()
-    acc = tag(first, 0)
-    for i in range(1, len(segs)):
-        rel = ev.rel(segs[i])
-        rv = pats[i + 1].var
-        sel = [
-            F.col("o1").alias("_cur"),
-            F.col("t1").alias("_curt"),
-            F.col("o2").alias("_nxt"),
-            F.col("t2").alias("_nxtt"),
-        ]
-        rel = rel.select(*sel)
-        acc = (
-            acc.join(rel, on=["_cur", "_curt"])
-            .drop("_cur", "_curt")
-            .withColumnRenamed("_nxt", "_cur")
-            .withColumnRenamed("_nxtt", "_curt")
-        )
-        if rv:
-            acc = acc.withColumn(rv, F.col("_cur")).withColumn(
-                f"{rv}_time", F.col("_curt")
-            )
-    return acc.select(*out_columns(q)).distinct()
+    return ev.walk(chain_steps(q)).select(*out_columns(q)).distinct()
 
 
 # ----------------------------------------------------------- local backend

@@ -23,6 +23,7 @@ tests compiles into one selection over one graph relation
 In a concatenation, adjacent tests are one conjunction; a test is a
 semi-join on the end it constrains, not a composition, and leading tests
 seed a first ``NEXT``/``PREV`` step directly (:meth:`PointEvaluator._shift`).
+A MATCH chain is one such concatenation (:meth:`PointEvaluator.walk`).
 Nothing is ``cache()``-d: a fresh evaluator recomputes every relation and
 launches the same Spark jobs as the one before it.
 
@@ -91,7 +92,9 @@ class PointEvaluator:
 
     @staticmethod
     def compose(a: DataFrame, b: DataFrame) -> DataFrame:
-        """Relation composition (the paper's sort-merge join step)."""
+        """Relation composition (the paper's sort-merge join step); ``a``'s
+        captured variables are carried through."""
+        extra = [c for c in a.columns if c not in REL_COLS]
         bb = b.select(
             F.col("o1").alias("_jo"),
             F.col("t1").alias("_jt"),
@@ -99,16 +102,16 @@ class PointEvaluator:
             "t2",
         )
         return (
-            a.select("o1", "t1", F.col("o2").alias("_jo"), F.col("t2").alias("_jt"))
+            a.select("o1", "t1", F.col("o2").alias("_jo"), F.col("t2").alias("_jt"), *extra)
             .join(bb, on=["_jo", "_jt"])
-            .select(*REL_COLS)
+            .select(*REL_COLS, *extra)
             .distinct()
         )
 
     def _restrict(self, rel: DataFrame, test: ast.Test, o: str, t: str) -> DataFrame:
         """The rows of ``rel`` whose ``(o, t)`` end satisfies ``test``."""
         pairs = self.test_pairs(test).select(F.col("id").alias(o), F.col("t").alias(t))
-        return rel.join(pairs, on=[o, t], how="left_semi").select(*REL_COLS)
+        return rel.join(pairs, on=[o, t], how="left_semi").select(*rel.columns)
 
     # ---------------------------------------------------------------- tests
     def test_pairs(self, test: ast.Test) -> DataFrame:
@@ -214,7 +217,7 @@ class PointEvaluator:
                 )
             return self._shift(g.pto(), path.op)
         if isinstance(path, ast.Seq):
-            return self._seq(path.parts)
+            return self.walk(list(path.parts))
         if isinstance(path, ast.Union):
             rel = self.rel(path.parts[0])
             for p in path.parts[1:]:
@@ -242,34 +245,45 @@ class PointEvaluator:
             (F.col("t") + (1 if op == "N" else -1)).alias("t2"),
         ).filter(F.col("t2").between(lo, hi))
 
-    def _seq(self, parts: tuple[ast.Path, ...]) -> DataFrame:
+    def walk(self, steps: list[ast.Path | ast.Capture]) -> DataFrame:
         """Concatenation: compose the non-test parts in order. Adjacent
         tests merge into one conjunction, so each run of tests is one
         scan. A leading test seeds a first ``NEXT``/``PREV`` step from its
         temporal objects (:meth:`_shift`) and restricts any other first
         step's ``(o1, t1)`` end; a later test restricts the ``(o2, t2)``
-        end of the composition so far. Both restrictions are semi-joins."""
-        steps: list[ast.Path] = []
-        for p in parts:
-            if isinstance(p, ast.TestExpr) and steps and isinstance(steps[-1], ast.TestExpr):
-                steps[-1] = ast.TestExpr(ast.conj(steps[-1].test, p.test))
+        end of the composition so far. Both restrictions are semi-joins.
+        A :class:`~repro.trpq.ast.Capture` of ``v`` (a MATCH chain) adds
+        ``v, v_time``: a copy of ``(o2, t2)`` after the first move, else of
+        ``(o1, t1)``, added last so a one-link chain's plan is its path's."""
+        pre: list[str] = []  # captured before the first move
+        run: list[ast.Path | ast.Capture] = []
+        for p in steps:
+            if isinstance(p, ast.Capture) and all(isinstance(s, ast.TestExpr) for s in run):
+                pre.append(p.var)
+            elif isinstance(p, ast.TestExpr) and run and isinstance(run[-1], ast.TestExpr):
+                run[-1] = ast.TestExpr(ast.conj(run[-1].test, p.test))
             else:
-                steps.append(p)
-        if len(steps) == 1:  # tests only
-            return self.rel(steps[0])
-        lead = steps.pop(0).test if isinstance(steps[0], ast.TestExpr) else None
-        first = steps[0]
-        if lead is None:
-            rel = self.rel(first)
-        elif isinstance(first, ast.Axis) and first.op in ("N", "P"):
-            rel = self._shift(self.test_pairs(lead), first.op)
+                run.append(p)
+        if len(run) == 1:  # tests only
+            rel = self.rel(run[0])
         else:
-            rel = self._restrict(self.rel(first), lead, "o1", "t1")
-        for p in steps[1:]:
-            if isinstance(p, ast.TestExpr):
-                rel = self._restrict(rel, p.test, "o2", "t2")
+            lead = run.pop(0).test if isinstance(run[0], ast.TestExpr) else None
+            first = run[0]
+            if lead is None:
+                rel = self.rel(first)
+            elif isinstance(first, ast.Axis) and first.op in ("N", "P"):
+                rel = self._shift(self.test_pairs(lead), first.op)
             else:
-                rel = self.compose(rel, self.rel(p))
+                rel = self._restrict(self.rel(first), lead, "o1", "t1")
+            for p in run[1:]:
+                if isinstance(p, ast.Capture):
+                    rel = rel.withColumns({p.var: F.col("o2"), f"{p.var}_time": F.col("t2")})
+                elif isinstance(p, ast.TestExpr):
+                    rel = self._restrict(rel, p.test, "o2", "t2")
+                else:
+                    rel = self.compose(rel, self.rel(p))
+        for v in pre:
+            rel = rel.withColumns({v: F.col("o1"), f"{v}_time": F.col("t1")})
         return rel
 
     # -------------------------------------------- repetition (Algorithms 1/2)

@@ -1,38 +1,24 @@
 """Shared fixtures for the test suite.
 
 The SparkSession itself comes from the root conftest's ``spark`` fixture.
-At import time (before the session is created) we tune two env-controlled
-settings the root conftest honours: fewer shuffle partitions for the tiny
-test inputs, and no console progress bars (keeps test_output.txt legible).
 """
-import os
+import pytest
 
-os.environ.setdefault("SPARK_SHUFFLE_PARTITIONS", "8")
-if "spark.ui.showConsoleProgress" not in os.environ.get("PYSPARK_SUBMIT_ARGS", ""):
-    os.environ["PYSPARK_SUBMIT_ARGS"] = os.environ.get(
-        "PYSPARK_SUBMIT_ARGS", "pyspark-shell"
-    ).replace(
-        "pyspark-shell",
-        "--conf spark.ui.showConsoleProgress=false pyspark-shell",
-    )
-
-import pytest  # noqa: E402
-
-from repro.tpg.figure1 import figure1  # noqa: E402
-from repro.tpg.generator import contact_tracing, g_lite  # noqa: E402
-from repro.tpg.model import SparkITPG  # noqa: E402
-from repro.trpq import ast  # noqa: E402
-from repro.trpq import queries as Q  # noqa: E402
-from repro.trpq.interval_eval import IntervalEvaluator  # noqa: E402
-from repro.trpq.match import (  # noqa: E402
+from repro.tpg.figure1 import figure1
+from repro.tpg.generator import contact_tracing, g_lite
+from repro.tpg.model import SparkITPG
+from repro.trpq import ast
+from repro.trpq import queries as Q
+from repro.trpq.interval_eval import IntervalEvaluator
+from repro.trpq.match import (
     eval_match_interval,
     eval_match_local,
     eval_match_point,
     out_columns,
 )
-from repro.trpq.parser import _cond_test  # noqa: E402
-from repro.trpq.semantics import LocalTPG  # noqa: E402
-from repro.trpq.spark_eval import PointEvaluator  # noqa: E402
+from repro.trpq.parser import _cond_test
+from repro.trpq.semantics import LocalTPG
+from repro.trpq.spark_eval import PointEvaluator
 
 ALL_QUERIES = tuple(Q.TABLE2) + ("INTRO", "Q7R")
 

@@ -66,9 +66,6 @@ class TestSetOps:
     def test_intersect_multi(self):
         assert iv.intersect([(1, 10)], [(2, 3), (6, 7)]) == [(2, 3), (6, 7)]
 
-    def test_union_merges(self):
-        assert iv.union([(1, 2)], [(3, 5)]) == [(1, 5)]
-
     def test_complement_inner_gap(self):
         assert iv.complement([(3, 4)], 1, 8) == [(1, 2), (5, 8)]
 
@@ -87,11 +84,6 @@ class TestSetOps:
         got = set(iv.points(iv.intersect(a, b)))
         assert got == set(iv.points(a)) & set(iv.points(b))
 
-    @given(intervals, intervals)
-    def test_union_is_point_union(self, a, b):
-        got = set(iv.points(iv.union(a, b)))
-        assert got == set(iv.points(a)) | set(iv.points(b))
-
     @given(intervals)
     def test_complement_partitions_domain(self, fam):
         fam = iv.clip(fam, 0, 40)
@@ -102,19 +94,12 @@ class TestSetOps:
 
 
 class TestPredicates:
-    def test_contains(self):
-        assert iv.contains([(1, 3), (5, 6)], 5)
-        assert not iv.contains([(1, 3), (5, 6)], 4)
-
     def test_covered_by_true(self):
         assert iv.covered_by([(2, 3)], [(1, 5)])
         assert iv.covered_by([], [(1, 5)])
 
     def test_covered_by_false(self):
         assert not iv.covered_by([(2, 6)], [(1, 5)])
-
-    def test_total_points(self):
-        assert iv.total_points([(1, 3), (5, 5)]) == 4
 
     def test_is_coalesced(self):
         assert iv.is_coalesced([(1, 2), (4, 5)])

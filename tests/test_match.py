@@ -3,7 +3,7 @@ import pytest
 
 from repro.trpq import ast
 from repro.trpq import queries as Q
-from repro.trpq.interval_eval import Capture
+from repro.trpq.ast import Capture
 from repro.trpq.match import chain_steps, out_columns, segment_asts
 from repro.trpq.parser import parse_match
 
@@ -32,8 +32,8 @@ class TestSegmentation:
         assert len(segment_asts(Q.query("Q7"))) == 3
 
     def test_chain_steps_test_each_pattern_once(self):
-        """The interval walk inlines every link between its patterns' tests
-        and captures each named pattern right after its test."""
+        """The walk inlines every link between its patterns' tests and
+        captures each named pattern right after its test."""
         q = Q.query("Q7")
         x, y, visits, z = (ast.TestExpr(p.test()) for p in q.patterns)
         assert chain_steps(q) == [
@@ -48,14 +48,19 @@ class TestSegmentation:
     def test_reserved_var_rejected(self):
         with pytest.raises(ValueError, match="reserved"):
             segment_asts(parse_match("MATCH (s:Person) ON g"))
-        with pytest.raises(ValueError, match="reserved"):
-            chain_steps(parse_match("MATCH (_new:Person) ON g"))
+        for var in ("_new", "_island", "_new_island"):  # columns interval_eval and coalesced() add
+            with pytest.raises(ValueError, match="reserved"):
+                chain_steps(parse_match(f"MATCH ({var}:Person) ON g"))
 
-    @pytest.mark.parametrize("var", ["_curt", "_nxt", "_nxtt"])
+    @pytest.mark.parametrize("var", ["_jo", "_jt", "x_time"])
     def test_point_chain_columns_reserved(self, var):
+        """The point walk's join columns, and a variable named after
+        another variable's time column (``x`` binds ``x, x_time``)."""
         q = parse_match(f"MATCH (x:Person)-[:meets]->({var}:Person)-[:visits]->(r:Room) ON g")
         with pytest.raises(ValueError, match="reserved"):
             segment_asts(q)
+        with pytest.raises(ValueError, match="reserved"):
+            chain_steps(q)
 
     def test_duplicate_var_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

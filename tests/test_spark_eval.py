@@ -7,7 +7,9 @@ from repro.probe import plan_ops
 from repro.tpg.model import SparkITPG
 from repro.trpq import ast
 from repro.trpq import queries as Q
-from repro.trpq.match import eval_match_point
+from repro.trpq.interval_eval import UnsupportedFragment
+from repro.trpq.match import eval_match_interval, eval_match_local, eval_match_point, out_columns
+from repro.trpq.parser import parse_match
 from repro.trpq.semantics import LocalTPG, holds
 from repro.trpq.semantics import eval_path as ref_eval
 from repro.trpq.spark_eval import PointEvaluator
@@ -117,13 +119,40 @@ class TestSubsetSumOnSpark:
 
 def test_gen_graph_queries_match_reference(gen_point_ev, gen_local):
     """Cross-check on a generated contact-tracing graph (not just Figure 1)."""
-    from repro.trpq import queries as Q
-    from repro.trpq.match import eval_match_local, eval_match_point
-
     for name in ("Q1", "Q5", "Q6", "Q9", "Q11"):
         q = Q.query(name)
         got = {tuple(r) for r in eval_match_point(gen_point_ev, q).collect()}
         assert got == eval_match_local(gen_local, q), name
+
+
+# ------------------------------------------------- the MATCH chain walk
+
+CHAINS = {
+    # a capture between two temporal links, outside the interval fragment
+    "two_temporal": "MATCH (x:Person)-/NEXT/-(y)-/PREV[0,2]/-(z) ON g",
+    "Q7": Q.QUERIES["Q7"],
+    "INTRO": Q.QUERIES["INTRO"],
+    "named_edge": "MATCH (x:Person)-[v:visits]->(r:Room) ON g",
+    "anonymous_between": "MATCH (x:Person)-[:visits]->(:Room)-/BWD/:visits/BWD/-(y:Person) ON g",
+    "single": "MATCH (x:Person {test = 'pos'}) ON g",
+}
+
+
+@pytest.mark.parametrize("graph", ["fig1", "gen"])
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_chain_walk_matches_reference(name, graph, request):
+    """The point walk over the whole chain binds every named pattern where
+    the reference's per-link join does, with the binding table's columns."""
+    ev, local = (request.getfixturevalue(f"{graph}_{fx}") for fx in ("point_ev", "local"))
+    q = parse_match(CHAINS[name])
+    df = eval_match_point(ev, q)
+    assert df.columns == out_columns(q)
+    assert {tuple(r) for r in df.collect()} == eval_match_local(local, q)
+
+
+def test_two_temporal_links_are_outside_the_interval_fragment(fig1_interval_ev):
+    with pytest.raises(UnsupportedFragment):
+        eval_match_interval(fig1_interval_ev, parse_match(CHAINS["two_temporal"]))
 
 
 # ------------------------------------------------- compiled conjunctions
