@@ -15,7 +15,6 @@ Object ids are globally unique strings across nodes and edges (``N ∩ E = ∅``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -205,11 +204,11 @@ class ITPGData:
 @dataclass
 class SparkITPG:
     """Interval-timestamped TPG as Spark DataFrames, each a local
-    checkpoint whose plan holds no rows: the paper's Nodes/Edges interval
-    relations, whose rows carry the object's kind, label and, for an edge,
-    its endpoints ``src``/``tgt`` (NULL on a node), so a pattern test is
-    one selection over one of them and an edge hop reads its endpoints
-    from the same rows."""
+    checkpoint whose plan holds no rows, hash-partitioned by ``id``: the
+    paper's Nodes/Edges interval relations, whose rows carry the object's
+    kind, label and, for an edge, its endpoints ``src``/``tgt`` (NULL on a
+    node), so a pattern test is one selection over one of them and an edge
+    hop reads its endpoints from the same rows."""
 
     omega: tuple[int, int]
     objects: DataFrame  # id, kind, label, src, tgt
@@ -220,10 +219,15 @@ class SparkITPG:
     def from_data(spark: SparkSession, data: ITPGData) -> "SparkITPG":
         """Load ``data``; kind, label, src and tgt are joined onto the
         ``exist`` and ``props`` rows in pandas, so loading launches no
-        join. Each table is an eager ``localCheckpoint``: a frame built
-        from pandas (with Arrow) keeps its rows in its logical plan, which
-        every query over it would carry and analyse; the checkpoint's plan
-        reads an RDD instead."""
+        join. Each table is hash-partitioned by ``id`` into the session's
+        default parallelism and then an eager ``localCheckpoint``: a frame
+        built from pandas (with Arrow) keeps its rows in its logical plan,
+        which every query over it would carry and analyse; the
+        checkpoint's plan reads an RDD instead, and keeps the partitioning,
+        so a join keyed on the object (``o2 = id``, or ``(id, t)`` on
+        points) needs no exchange on the loaded side. The checkpoints are
+        planned with adaptive execution off, since an adaptive plan reports
+        no partitioning; the session's setting is restored afterwards."""
         obj_schema = "id string, kind string, label string, src string, tgt string"
         ex_schema = f"{obj_schema}, s long, e long"
         pr_schema = f"{obj_schema}, p string, v string, s long, e long"
@@ -233,17 +237,27 @@ class SparkITPG:
             out = df[cols].merge(kl, on="id", how="left")
             return out[[*OBJECT_COLS, *cols[1:]]]
 
-        objects = spark.createDataFrame(data.objects[OBJECT_COLS], schema=obj_schema)
-        exist = spark.createDataFrame(labelled(data.exist, EXIST_COLS), schema=ex_schema)
-        props = spark.createDataFrame(labelled(data.props, PROP_COLS), schema=pr_schema)
-        return SparkITPG(
-            data.omega, objects.localCheckpoint(), exist.localCheckpoint(), props.localCheckpoint()
-        )
+        frames = [
+            spark.createDataFrame(data.objects[OBJECT_COLS], schema=obj_schema),
+            spark.createDataFrame(labelled(data.exist, EXIST_COLS), schema=ex_schema),
+            spark.createDataFrame(labelled(data.props, PROP_COLS), schema=pr_schema),
+        ]
+        n = spark.sparkContext.defaultParallelism
+        aqe = "spark.sql.adaptive.enabled"
+        old = spark.conf.get(aqe)
+        spark.conf.set(aqe, "false")
+        try:
+            objects, exist, props = (df.repartition(n, "id").localCheckpoint() for df in frames)
+        finally:
+            spark.conf.set(aqe, old)
+        return SparkITPG(data.omega, objects, exist, props)
 
     def to_tpg(self) -> "SparkTPG":
         """Explode intervals into time points (the canonical translation
         from ITPG to TPG of Section III-B), in Catalyst, and checkpoint
-        the point rows, which keep the object's kind and label."""
+        the point rows, which keep the object's kind and label. The
+        explode is a narrow step, so the point rows keep the loaded
+        tables' partitioning by ``id``."""
         seq = F.explode(F.sequence(F.col("s"), F.col("e"))).alias("t")
         exist_pt = self.exist.select("id", "kind", "label", seq)
         props_pt = self.props.select("id", "kind", "label", "p", "v", seq)

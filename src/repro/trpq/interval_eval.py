@@ -86,6 +86,18 @@ def _bound(state: LinkRel, var: Optional[str]) -> LinkRel:
     return replace(state, post=state.post + (var,)) if var and state.temporal else state
 
 
+def _merge_tests(steps) -> list[ast.Path | ast.Capture]:
+    """``steps`` with each run of adjacent tests merged into one
+    conjunction, so the run is one scan and one composition."""
+    out: list[ast.Path | ast.Capture] = []
+    for p in steps:
+        if isinstance(p, ast.TestExpr) and out and isinstance(out[-1], ast.TestExpr):
+            out[-1] = ast.TestExpr(ast.conj(out[-1].test, p.test))
+        else:
+            out.append(p)
+    return out
+
+
 def diagonal(tt: DataFrame, *keys: str | Column) -> DataFrame:
     """The block of a test table ``(id, s, e)``: ``(o, t)`` to ``(o, t)``
     for every ``t ∈ [s, e]``, with the columns ``keys`` (default ``id``)
@@ -127,7 +139,8 @@ def compose(left: DataFrame, right: DataFrame | dict[str, Column]) -> DataFrame:
             ),
             "o2",
         )
-    # a block keeps o2, the join key, so later joins on it need no shuffle
+    # a block keeps o2, the join key, and the loaded tables are partitioned
+    # by id, so a chain of blocks from the load onwards needs no shuffle
     o2 = "_ro2" if moves else "o2"
     xs = F.greatest("s2", "_rs1")
     xe = F.least("e2", "_re1")
@@ -276,7 +289,9 @@ class IntervalEvaluator:
         relation (Steps 1 and 2).
 
         It starts from the diagonal of its leading test (a MATCH chain
-        starts with its first pattern's), or of every object over Ω."""
+        starts with its first pattern's), or of every object over Ω.
+        Adjacent tests are one conjunction (:func:`_merge_tests`)."""
+        steps = _merge_tests(steps)
         if steps and isinstance(steps[0], ast.TestExpr):
             test, steps = steps[0].test, steps[1:]
             seed, kind = self.test_table(test), _test_kind(test)
@@ -343,7 +358,7 @@ class IntervalEvaluator:
         if isinstance(part, ast.TestExpr):
             return self._apply_test(state, part.test)
         if isinstance(part, ast.Seq):
-            return self._seq(state, list(part.parts))
+            return self._seq(state, _merge_tests(part.parts))
         if isinstance(part, ast.Union):
             branches = [self._apply(state, p) for p in part.parts]
             kinds = {b.kind for b in branches}

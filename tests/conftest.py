@@ -108,6 +108,13 @@ def gen_point_ev(gen_itpg):
     return PointEvaluator(gen_itpg.to_tpg())
 
 
+@pytest.fixture(scope="session")
+def gate_data():
+    """The plan-shape gate's graph, where every Table II answer is
+    non-empty."""
+    return contact_tracing(persons=20, positivity=0.3, seed=10)
+
+
 def witness_pairs(df):
     """The ``(o1, t1, o2, t2)`` pairs an interval relation (columns
     ``o1, o2, s1, e1, s2, e2, dmin, dmax``) denotes, expanded in Python."""

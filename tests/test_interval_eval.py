@@ -137,6 +137,20 @@ class TestWalkKinds:
         assert plan_ops(fused.df)[0] == 1
         assert plan_ops(general.df)[0] == 3
 
+    def test_adjacent_tests_merge(self, fig1_interval_ev):
+        """Adjacent tests are one conjunction: F / meets / ∃ / F from nodes
+        still fuses into one join, and after a bare PREV its ∃ and a node
+        test are one scan, composed by one join."""
+        hop = ast.seq(
+            ast.TestExpr(ast.NODE), ast.F, ast.TestExpr(ast.LabelTest("meets")),
+            ast.TestExpr(ast.EXISTS), ast.F,
+        )
+        prev = ast.seq(
+            ast.TestExpr(ast.NODE), ast.P, ast.TestExpr(ast.EXISTS), ast.TestExpr(ast.NODE)
+        )
+        assert plan_ops(fig1_interval_ev.eval_link(hop).df)[0] == 1
+        assert plan_ops(fig1_interval_ev.eval_link(prev).df)[0] == 1
+
 
 class TestLinkRelations:
     """eval_link against the reference ⟦·⟧ (expanded to points)."""
@@ -173,6 +187,17 @@ class TestLinkRelations:
             ast.TestExpr(ast.conj(ast.NODE, ast.EXISTS)),
             ast.Repeat(ast.seq(ast.N, ast.EXISTS), 2, None),
             ast.F, ast.AndTest(ast.LabelTest("visits"), ast.EXISTS), ast.F,
+        ),
+        # adjacent tests merge: a leading run, a hop through two tests, and
+        # a bare PREV's ∃ next to the following node test
+        ast.seq(ast.TestExpr(ast.NODE), ast.TestExpr(ast.EXISTS), ast.N),
+        ast.seq(
+            ast.TestExpr(ast.NODE), ast.F, ast.TestExpr(ast.LabelTest("meets")),
+            ast.TestExpr(ast.EXISTS), ast.F,
+        ),
+        ast.seq(
+            ast.TestExpr(ast.PropTest("test", "pos")), ast.P,
+            ast.TestExpr(ast.EXISTS), ast.TestExpr(ast.conj(ast.NODE, ast.EXISTS)),
         ),
     ]
 

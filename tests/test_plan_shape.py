@@ -7,9 +7,10 @@ lower the bound. A pattern test alone is one selection over a loaded
 relation, with no join and no exchange, on either backend.
 
 Every query runs on a fresh load, as a benchmark pass does. The loaded
-graph relations are local checkpoints, so their plans hold no rows, and
-nothing is cached; the cleared cache only guards against a test that
-caches. Materialising Steps 1–2 checkpoints the interval relation and
+graph relations are local checkpoints, hash-partitioned by object id, so
+their plans hold no rows and a join keyed on the object reads them without
+an exchange. Nothing is cached; the cleared cache only guards against a
+test that caches. Materialising Steps 1–2 checkpoints the interval relation and
 counts it in the same Spark job; Step 3 reads that checkpoint. The graph
 gives every query a non-empty answer, because adaptive execution skips
 work on empty relations and launches fewer jobs for them.
@@ -17,7 +18,6 @@ work on empty relations and launches fewer jobs for them.
 import pytest
 
 from repro.probe import counted_jobs, plan_ops
-from repro.tpg.generator import contact_tracing
 from repro.tpg.model import SparkITPG
 from repro.trpq import queries as Q
 from repro.trpq.interval_eval import IntervalEvaluator
@@ -31,18 +31,18 @@ from repro.trpq.spark_eval import PointEvaluator
 # figures. The output is exact: coalesced rows for Q1–Q5, bag counts (one
 # row per witness pair) for Q6–Q12.
 BOUNDS = {
-    "Q1": (56, 4, 0, 0),
-    "Q2": (42, 4, 0, 0),
-    "Q3": (2, 4, 0, 0),
-    "Q4": (10, 4, 0, 0),
-    "Q5": (1, 8, 2, 4),
-    "Q6": (38, 6, 2, 3),
-    "Q7": (17, 9, 4, 6),
-    "Q8": (66, 9, 3, 6),
-    "Q9": (11, 9, 4, 8),
-    "Q10": (7, 9, 4, 8),
-    "Q11": (15, 12, 8, 14),
-    "Q12": (26, 13, 10, 18),
+    "Q1": (56, 3, 0, 0),
+    "Q2": (42, 3, 0, 0),
+    "Q3": (2, 3, 0, 0),
+    "Q4": (10, 3, 0, 0),
+    "Q5": (1, 6, 2, 2),
+    "Q6": (38, 3, 1, 0),
+    "Q7": (17, 5, 3, 2),
+    "Q8": (66, 6, 3, 3),
+    "Q9": (11, 7, 4, 4),
+    "Q10": (7, 7, 4, 4),
+    "Q11": (15, 11, 8, 8),
+    "Q12": (26, 13, 10, 10),
 }
 
 # (output size, Spark jobs) per query on the point backend (Theorem C.1
@@ -50,12 +50,7 @@ BOUNDS = {
 # except where the repetition recursions checkpoint them. Q9's ``PREV*``
 # is a doubling fixpoint (``_star``), Q7's ``PREV`` and hops are not; Q5's
 # and Q7's chains are one walk each, with no relation per link.
-POINT_BOUNDS = {"Q2": (174, 3), "Q5": (2, 11), "Q6": (38, 4), "Q7": (17, 11), "Q9": (2, 58)}
-
-
-@pytest.fixture(scope="module")
-def gate_data():
-    return contact_tracing(persons=20, positivity=0.3, seed=10)
+POINT_BOUNDS = {"Q2": (174, 2), "Q5": (2, 10), "Q6": (38, 2), "Q7": (17, 7), "Q9": (2, 54)}
 
 
 def run_query(spark, data, name: str) -> tuple[int, int, int, int]:
@@ -194,3 +189,41 @@ def test_loaded_tables_carry_no_rows_in_plans(spark, gate_data, arrow):
         plan = df._jdf.queryExecution().optimizedPlan().toString()
         assert "LocalRelation" not in plan, plan
         assert "LogicalRDD" in plan, plan
+
+
+def test_loaded_tables_are_partitioned_by_id(spark, gate_data):
+    """The loaded interval tables, and the point tables exploded from them,
+    are hash-partitioned by ``id`` into the session's default parallelism,
+    so a join on ``o2 = id`` (or a point join on ``(id, t)``) against them
+    needs no exchange on their side."""
+    itpg = SparkITPG.from_data(spark, gate_data)
+    tpg = itpg.to_tpg()
+    n = spark.sparkContext.defaultParallelism
+    for df in (itpg.objects, itpg.exist, itpg.props, tpg.exist, tpg.props):
+        part = df._jdf.queryExecution().executedPlan().outputPartitioning().toString()
+        assert part.startswith("hashpartitioning(id#") and part.endswith(f", {n})"), part
+
+
+@pytest.mark.parametrize("adaptive", ["true", "false"])
+@pytest.mark.parametrize("fail", [False, True])
+def test_load_restores_adaptive_execution(spark, gate_data, monkeypatch, adaptive, fail):
+    """``from_data`` turns adaptive execution off for its own checkpoints
+    only: the session's setting is as it was afterwards, also when the
+    load raises."""
+    key = "spark.sql.adaptive.enabled"
+    old = spark.conf.get(key)
+    spark.conf.set(key, adaptive)
+    try:
+        if fail:
+            def boom(self, *args, **kwargs):
+                assert spark.conf.get(key) == "false"
+                raise RuntimeError("checkpoint failed")
+
+            monkeypatch.setattr(type(spark.range(1)), "localCheckpoint", boom)
+            with pytest.raises(RuntimeError, match="checkpoint failed"):
+                SparkITPG.from_data(spark, gate_data)
+        else:
+            SparkITPG.from_data(spark, gate_data)
+        assert spark.conf.get(key) == adaptive
+    finally:
+        spark.conf.set(key, old)
