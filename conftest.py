@@ -51,11 +51,11 @@ from repro.session import get_spark  # noqa: E402
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session, from the
-    program's own builder (:func:`repro.session.get_spark`) with 8 shuffle
-    partitions for the small test inputs. Driver memory comes from
-    ``PYSPARK_SUBMIT_ARGS`` (set above, before the JVM starts).
+    program's own builder (:func:`repro.session.get_spark`), so the tests
+    measure the session the jobs and the benchmark run. Driver memory comes
+    from ``PYSPARK_SUBMIT_ARGS`` (set above, before the JVM starts).
     """
-    s = get_spark("repro", shuffle_partitions=8)
+    s = get_spark("repro")
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

@@ -11,9 +11,10 @@ from pyspark.sql import DataFrame, SparkSession
 
 
 def plan_ops(df: DataFrame) -> tuple[int, int]:
-    """Join and exchange operators of ``df``'s executed plan, read before
-    adaptive re-optimisation and through cached relations, each operator
-    counted once."""
+    """Join and exchange operators of ``df``'s executed plan, read through
+    cached relations, each operator counted once. The session plans
+    without adaptive execution (:func:`repro.session.get_spark`), so the
+    executed plan is the one that runs."""
     seen: set[int] = set()
     joins = exchanges = 0
     stack = [df._jdf.queryExecution().executedPlan()]
@@ -29,9 +30,7 @@ def plan_ops(df: DataFrame) -> tuple[int, int]:
             exchanges += 1
         kids = p.children()
         stack += [kids.apply(i) for i in range(kids.size())]
-        if cls == "AdaptiveSparkPlanExec":
-            stack.append(p.initialPlan())
-        elif cls == "InMemoryTableScanExec":
+        if cls == "InMemoryTableScanExec":
             stack.append(p.relation().cachedPlan())
     return joins, exchanges
 

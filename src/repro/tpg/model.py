@@ -223,11 +223,10 @@ class SparkITPG:
         default parallelism and then an eager ``localCheckpoint``: a frame
         built from pandas (with Arrow) keeps its rows in its logical plan,
         which every query over it would carry and analyse; the
-        checkpoint's plan reads an RDD instead, and keeps the partitioning,
-        so a join keyed on the object (``o2 = id``, or ``(id, t)`` on
-        points) needs no exchange on the loaded side. The checkpoints are
-        planned with adaptive execution off, since an adaptive plan reports
-        no partitioning; the session's setting is restored afterwards."""
+        checkpoint's plan reads an RDD instead, and keeps the partitioning
+        (the session plans without adaptive execution, whose plans report
+        none), so a join keyed on the object (``o2 = id``, or ``(id, t)``
+        on points) needs no exchange on the loaded side."""
         obj_schema = "id string, kind string, label string, src string, tgt string"
         ex_schema = f"{obj_schema}, s long, e long"
         pr_schema = f"{obj_schema}, p string, v string, s long, e long"
@@ -243,13 +242,7 @@ class SparkITPG:
             spark.createDataFrame(labelled(data.props, PROP_COLS), schema=pr_schema),
         ]
         n = spark.sparkContext.defaultParallelism
-        aqe = "spark.sql.adaptive.enabled"
-        old = spark.conf.get(aqe)
-        spark.conf.set(aqe, "false")
-        try:
-            objects, exist, props = (df.repartition(n, "id").localCheckpoint() for df in frames)
-        finally:
-            spark.conf.set(aqe, old)
+        objects, exist, props = (df.repartition(n, "id").localCheckpoint() for df in frames)
         return SparkITPG(data.omega, objects, exist, props)
 
     def to_tpg(self) -> "SparkTPG":

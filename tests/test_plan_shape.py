@@ -11,13 +11,16 @@ graph relations are local checkpoints, hash-partitioned by object id, so
 their plans hold no rows and a join keyed on the object reads them without
 an exchange. Nothing is cached; the cleared cache only guards against a
 test that caches. Materialising Steps 1–2 checkpoints the interval relation and
-counts it in the same Spark job; Step 3 reads that checkpoint. The graph
-gives every query a non-empty answer, because adaptive execution skips
-work on empty relations and launches fewer jobs for them.
+counts it in the same Spark job; Step 3 reads that checkpoint. The session
+plans without adaptive execution, so each action is one Spark job however
+many exchanges its plan has, and an empty answer costs as many jobs as a
+non-empty one. The graph still gives every query a non-empty answer, so
+that each output bound checks rows.
 """
 import pytest
 
 from repro.probe import counted_jobs, plan_ops
+from repro.session import get_spark
 from repro.tpg.model import SparkITPG
 from repro.trpq import queries as Q
 from repro.trpq.interval_eval import IntervalEvaluator
@@ -26,31 +29,33 @@ from repro.trpq.parser import parse_match
 from repro.trpq.spark_eval import PointEvaluator
 
 # (output size, Spark jobs, executed-plan joins, executed-plan exchanges) per
-# query, as measured with the test session's configuration (8 shuffle
-# partitions, broadcast joins off); run with -s to print the measured
-# figures. The output is exact: coalesced rows for Q1–Q5, bag counts (one
+# query, as measured with the program's session (shuffle partitions equal to
+# the default parallelism, adaptive execution and broadcast joins off), where
+# a query is one job for Steps 1–2 and one for Step 3; run with -s to print
+# the measured figures. The output is exact: coalesced rows for Q1–Q5, bag counts (one
 # row per witness pair) for Q6–Q12.
 BOUNDS = {
-    "Q1": (56, 3, 0, 0),
-    "Q2": (42, 3, 0, 0),
-    "Q3": (2, 3, 0, 0),
-    "Q4": (10, 3, 0, 0),
-    "Q5": (1, 6, 2, 2),
-    "Q6": (38, 3, 1, 0),
-    "Q7": (17, 5, 3, 2),
-    "Q8": (66, 6, 3, 3),
-    "Q9": (11, 7, 4, 4),
-    "Q10": (7, 7, 4, 4),
-    "Q11": (15, 11, 8, 8),
-    "Q12": (26, 13, 10, 10),
+    "Q1": (56, 2, 0, 0),
+    "Q2": (42, 2, 0, 0),
+    "Q3": (2, 2, 0, 0),
+    "Q4": (10, 2, 0, 0),
+    "Q5": (1, 2, 2, 2),
+    "Q6": (38, 2, 1, 0),
+    "Q7": (17, 2, 3, 2),
+    "Q8": (66, 2, 3, 3),
+    "Q9": (11, 2, 4, 4),
+    "Q10": (7, 2, 4, 4),
+    "Q11": (15, 2, 8, 8),
+    "Q12": (26, 2, 10, 10),
 }
 
 # (output size, Spark jobs) per query on the point backend (Theorem C.1
 # evaluator), same configuration; the point evaluator's relations are lazy
-# except where the repetition recursions checkpoint them. Q9's ``PREV*``
-# is a doubling fixpoint (``_star``), Q7's ``PREV`` and hops are not; Q5's
-# and Q7's chains are one walk each, with no relation per link.
-POINT_BOUNDS = {"Q2": (174, 2), "Q5": (2, 10), "Q6": (38, 2), "Q7": (17, 7), "Q9": (2, 54)}
+# except where the repetition recursions checkpoint them, so a query
+# without repetition is one job. Q9's ``PREV*`` is a doubling fixpoint
+# (``_star``), one checkpoint job per round; Q7's ``PREV`` and hops are
+# not; Q5's and Q7's chains are one walk each, with no relation per link.
+POINT_BOUNDS = {"Q2": (174, 1), "Q5": (2, 1), "Q6": (38, 1), "Q7": (17, 1), "Q9": (2, 11)}
 
 
 def run_query(spark, data, name: str) -> tuple[int, int, int, int]:
@@ -165,7 +170,8 @@ def test_step3_same_with_and_without_materialize(spark, gate_data, name):
 
 def test_materialize_counts_an_empty_relation(spark, gate_data):
     """The observed count is 0, and returned, when the chain is empty only
-    at run time (adaptive execution prunes the hop's join)."""
+    at run time (no object is labelled ``Nobody``, which the plan cannot
+    know)."""
     ev = IntervalEvaluator(SparkITPG.from_data(spark, gate_data))
     ib = eval_match_interval(ev, parse_match("MATCH (x:Nobody)-[:meets]->(y:Person) ON g"))
     assert ib.materialize() == 0
@@ -193,37 +199,51 @@ def test_loaded_tables_carry_no_rows_in_plans(spark, gate_data, arrow):
 
 def test_loaded_tables_are_partitioned_by_id(spark, gate_data):
     """The loaded interval tables, and the point tables exploded from them,
-    are hash-partitioned by ``id`` into the session's default parallelism,
-    so a join on ``o2 = id`` (or a point join on ``(id, t)``) against them
-    needs no exchange on their side."""
+    are hash-partitioned by ``id`` into the session's shuffle-partition
+    count (its default parallelism), so a join on ``o2 = id`` (or a point
+    join on ``(id, t)``) against them needs no exchange on their side."""
     itpg = SparkITPG.from_data(spark, gate_data)
     tpg = itpg.to_tpg()
-    n = spark.sparkContext.defaultParallelism
+    n = int(spark.conf.get("spark.sql.shuffle.partitions"))
     for df in (itpg.objects, itpg.exist, itpg.props, tpg.exist, tpg.props):
         part = df._jdf.queryExecution().executedPlan().outputPartitioning().toString()
         assert part.startswith("hashpartitioning(id#") and part.endswith(f", {n})"), part
 
 
-@pytest.mark.parametrize("adaptive", ["true", "false"])
-@pytest.mark.parametrize("fail", [False, True])
-def test_load_restores_adaptive_execution(spark, gate_data, monkeypatch, adaptive, fail):
-    """``from_data`` turns adaptive execution off for its own checkpoints
-    only: the session's setting is as it was afterwards, also when the
-    load raises."""
-    key = "spark.sql.adaptive.enabled"
-    old = spark.conf.get(key)
-    spark.conf.set(key, adaptive)
-    try:
-        if fail:
-            def boom(self, *args, **kwargs):
-                assert spark.conf.get(key) == "false"
-                raise RuntimeError("checkpoint failed")
+def test_session_plans_one_job_per_action(spark):
+    """The program's session plans without adaptive execution, into as
+    many shuffle partitions as the loaded tables have (the default
+    parallelism), and without PySpark's call-site capture."""
+    assert get_spark("repro") is spark
+    n = spark.sparkContext.defaultParallelism
+    assert spark.conf.get("spark.sql.adaptive.enabled") == "false"
+    assert int(spark.conf.get("spark.sql.shuffle.partitions")) == n
+    assert spark.conf.get("spark.python.sql.dataFrameDebugging.enabled") == "false"
 
-            monkeypatch.setattr(type(spark.range(1)), "localCheckpoint", boom)
-            with pytest.raises(RuntimeError, match="checkpoint failed"):
-                SparkITPG.from_data(spark, gate_data)
-        else:
-            SparkITPG.from_data(spark, gate_data)
-        assert spark.conf.get(key) == adaptive
-    finally:
-        spark.conf.set(key, old)
+
+def test_empty_answer_costs_the_same_jobs(spark, gate_data):
+    """An answer that is empty only at run time launches as many Spark
+    jobs as a non-empty chain of the same shape: on the interval backend
+    through ``materialize`` and Step 3, on the point backend to the
+    count."""
+    hop = "MATCH ({x})-[:meets]->(y:Person) ON g"
+
+    def interval(x):
+        ev = IntervalEvaluator(SparkITPG.from_data(spark, gate_data))
+
+        def action():
+            ib = eval_match_interval(ev, parse_match(hop.format(x=x)))
+            return ib.materialize(), ib.points(distinct=False).count()
+
+        return counted_jobs(spark, "empty-interval", action)
+
+    def point(x):
+        ev = PointEvaluator(SparkITPG.from_data(spark, gate_data).to_tpg())
+        return counted_jobs(spark, "empty-point", lambda: eval_match_point(ev, parse_match(hop.format(x=x))).count())
+
+    (rel, out), jobs = interval("x:Person")
+    assert rel > 0 and out > 0
+    assert interval("x:Nobody") == ((0, 0), jobs)
+    out, jobs = point("x:Person")
+    assert out > 0
+    assert point("x:Nobody") == (0, jobs)
